@@ -56,9 +56,14 @@
 // queue and allocation records come from block arenas (sim.Arena), and each
 // run's result digest is folded into an order-independent accumulator
 // (sim.DigestAcc) at the instant each record finalizes, so campaign digests
-// need no post-pass over the records. The meta-scheduler takes one
-// availability snapshot per cluster per reallocation sweep and reuses it
-// across all candidate jobs and heuristics. A from-scratch reference
+// need no post-pass over the records. The meta-scheduler's reallocation
+// sweep is shape-indexed: it groups the candidates of a pass by shape
+// (processor count and walltime), takes one availability snapshot per
+// cluster and keeps one ECT column per cluster over the shapes, so a pass
+// costs one slot search per (shape, cluster) up front. After a placement or
+// move only the touched clusters' columns are re-queried, once per shape
+// that still has candidates, and only the estimates that read a changed
+// answer are rebuilt. A from-scratch reference
 // implementation remains available behind the explicit invalidation hooks;
 // GRIDREALLOC_DEBUG_PROFILE=1 cross-checks the incremental state against it
 // on every re-plan. BENCH_batch.json is the committed baseline of the hot
@@ -100,7 +105,7 @@
 // The reuse contract: every layer of one simulation run — sim.Engine,
 // batch.Scheduler, server.Server, the core agent and driver — has a Reset
 // path that returns it to its freshly-constructed state while keeping its
-// buffers (profiles, heaps, pools, indexes, scratch matrices), and a reset
+// buffers (profiles, heaps, pools, indexes, sweep tables), and a reset
 // component is observationally identical to a fresh one. What survives a
 // reset is capacity only, never content: no job, reservation, revealed
 // outage, sequence number or counter crosses runs (caller configuration
@@ -116,10 +121,9 @@
 // (still counted in ReallocationEvents), a cluster whose scheduler state
 // version did not move since the previous pass is not re-listed (the cached
 // queue view is exact — the version increments on every submission,
-// cancellation, start, early finish, reveal or invalidation), and snapshot
-// completion estimates are memoised per job shape while the published plan
-// is unchanged, reusable whenever the cached start lies at or after the
-// query's lower bound. All three are behaviour-neutral by construction and
+// cancellation, start, early finish, reveal or invalidation), and the
+// shape-indexed sweep answers each job shape once per cluster instead of
+// once per candidate. All three are behaviour-neutral by construction and
 // covered by the digest grids and the fuzz oracle.
 //
 // # Fault model

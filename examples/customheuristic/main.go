@@ -22,7 +22,9 @@ import (
 )
 
 // widestFirst orders candidates by decreasing processor count, breaking ties
-// by submission order.
+// by submission order and then job ID. The pick must not depend on the
+// order of the candidates (see core.Heuristic), so the tie-break is a total
+// order.
 type widestFirst struct{}
 
 func (widestFirst) Name() string { return "WidestFirst" }
@@ -30,11 +32,11 @@ func (widestFirst) Name() string { return "WidestFirst" }
 func (widestFirst) Select(cands []core.Candidate, _ []core.Estimate) int {
 	best := 0
 	for i := 1; i < len(cands); i++ {
+		c, b := cands[i].Job, cands[best].Job
 		switch {
-		case cands[i].Job.Procs > cands[best].Job.Procs:
+		case c.Procs > b.Procs:
 			best = i
-		case cands[i].Job.Procs == cands[best].Job.Procs &&
-			cands[i].Job.Submit < cands[best].Job.Submit:
+		case c.Procs == b.Procs && (c.Submit < b.Submit || c.Submit == b.Submit && c.ID < b.ID):
 			best = i
 		}
 	}

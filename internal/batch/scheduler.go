@@ -309,23 +309,6 @@ type Scheduler struct {
 	// do not bump it.
 	stateVersion uint64
 
-	// ectCache memoises snapshot completion-time estimates per job shape
-	// (procs, scaled walltime) while the published plan is unchanged. A cached
-	// start remains the true earliest start as long as the profile is
-	// identical and the cached start is at or after the query's lower bound:
-	// the snapshot lower bound is monotone within one plan version (time only
-	// moves forward and the FCFS bound is fixed per plan), so entries are
-	// reusable across reallocation sweeps on clusters nothing touched — the
-	// dirty-cluster sweep optimisation — and across same-shape candidates
-	// within one sweep. ectCacheLower tracks the largest lower bound served
-	// from the cache; a query below it (only possible through out-of-order
-	// direct snapshot use, never from the simulation driver) bypasses the
-	// cache instead of trusting entries computed for a later bound.
-	ectCache        map[ectKey]int64
-	ectCacheVersion uint64
-	ectCacheLower   int64
-	ectCacheHits    int64
-
 	// Request counters, reported by the server layer as system-load metrics.
 	submissions   int64
 	cancellations int64
@@ -432,18 +415,9 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.planVersion++
 	s.maxPlannedStart = 0
 	s.stateVersion++
-	// Drop the memoised completion-time estimates outright. Stale entries
-	// were already unreachable — they are keyed to the previous plan version,
-	// which the bump above retires — but an explicit clear keeps the reset
-	// self-contained instead of leaning on the cache's monotone-version
-	// argument, and returns the memory of a large run to steady state.
-	clear(s.ectCache)
-	s.ectCacheVersion = 0
-	s.ectCacheLower = 0
 	s.submissions, s.cancellations, s.ectQueries = 0, 0, 0
 	s.planRebuilds, s.planAppends, s.planReuses = 0, 0, 0
 	s.snapshots, s.snapshotHits, s.runProfRebuilds = 0, 0, 0
-	s.ectCacheHits = 0
 	return nil
 }
 
@@ -546,9 +520,6 @@ type ProfileStats struct {
 	// profile (the invalidation path; 0 in healthy runs after the initial
 	// build).
 	RunProfileRebuilds int64
-	// ECTCacheHits counts snapshot estimate queries answered from the
-	// per-shape memo instead of a profile slot search (see ectCache).
-	ECTCacheHits int64
 }
 
 // ProfileStats returns the current profile bookkeeping counters.
@@ -560,7 +531,6 @@ func (s *Scheduler) ProfileStats() ProfileStats {
 		Snapshots:          s.snapshots,
 		SnapshotHits:       s.snapshotHits,
 		RunProfileRebuilds: s.runProfRebuilds,
-		ECTCacheHits:       s.ectCacheHits,
 	}
 }
 
@@ -1011,29 +981,10 @@ func (sn *EstimateSnapshot) ScaledWalltime(j workload.Job) int64 {
 	return sn.sched.scaledWalltime(j)
 }
 
-// ectKey identifies a job shape for the snapshot estimate cache: two jobs
-// with the same processor count and scaled walltime always receive the same
-// answer from the same profile and lower bound.
-type ectKey struct {
-	procs int
-	wall  int64
-}
-
-// cachedNoSlot marks a shape that has no feasible start anywhere in the
-// profile; infeasibility at one lower bound implies infeasibility at every
-// later one, so the entry is valid for the rest of the plan version.
-const cachedNoSlot int64 = math.MinInt64
-
 // TryEstimateCompletionScaled is TryEstimateCompletion for a caller that
-// already holds the job's scaled walltime on this cluster.
-//
-// Answers are memoised per job shape while the published plan is unchanged
-// (see ectCache): a cached start at or after the query's lower bound is still
-// the earliest feasible start, because feasibility of a start does not depend
-// on the bound and no earlier start in the narrower window could have been
-// skipped. The cache makes same-shape candidates within one sweep and the
-// whole column of a cluster no sweep touched O(1) instead of one slot search
-// each — the query path of the dirty-cluster sweep optimisation.
+// already holds the job's scaled walltime on this cluster. Each call is one
+// slot search on the frozen profile; a caller that asks for many jobs of
+// the same shape (processor count and walltime) asks once per shape.
 func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (int64, bool) {
 	s := sn.sched
 	if procs > s.spec.Cores {
@@ -1041,51 +992,10 @@ func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (
 	}
 	s.ectQueries++
 	s.snapshotHits++
-	if sn.version != s.planVersion || s.planDirty {
-		// The snapshot answers for a superseded plan; the cache tracks the
-		// published one.
-		start := sn.prof.findSlot(sn.lower, wall, procs)
-		if start == noSlot {
-			return 0, false
-		}
-		return start + wall, true
-	}
-	if s.ectCacheVersion != s.planVersion || s.ectCache == nil {
-		if s.ectCache == nil {
-			s.ectCache = make(map[ectKey]int64, 64)
-		} else {
-			clear(s.ectCache)
-		}
-		s.ectCacheVersion = s.planVersion
-		s.ectCacheLower = sn.lower
-	}
-	if sn.lower < s.ectCacheLower {
-		// Out-of-order query below a bound the cache already served; answer
-		// directly rather than trusting entries computed for a later bound.
-		start := sn.prof.findSlot(sn.lower, wall, procs)
-		if start == noSlot {
-			return 0, false
-		}
-		return start + wall, true
-	}
-	s.ectCacheLower = sn.lower
-	k := ectKey{procs, wall}
-	if ect, ok := s.ectCache[k]; ok {
-		if ect == cachedNoSlot {
-			s.ectCacheHits++
-			return 0, false
-		}
-		if ect-wall >= sn.lower {
-			s.ectCacheHits++
-			return ect, true
-		}
-	}
 	start := sn.prof.findSlot(sn.lower, wall, procs)
 	if start == noSlot {
-		s.ectCache[k] = cachedNoSlot
 		return 0, false
 	}
-	s.ectCache[k] = start + wall
 	return start + wall, true
 }
 

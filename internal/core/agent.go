@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gridrealloc/internal/batch"
@@ -84,10 +85,10 @@ type ReallocConfig struct {
 	// simulations (the fuzz harness) use different settings without racing
 	// on the process-wide ones.
 	SweepWorkers int
-	// SweepThreshold is the minimum number of (candidate, cluster) pairs a
-	// sweep must hold before it fans out; 0 uses the process-wide default
-	// (SetSweepParallelThreshold). Tests and the fuzz harness set 1 to force
-	// the parallel path onto small fixtures.
+	// SweepThreshold is the minimum work (queued jobs, or (shape, cluster)
+	// queries) a sweep stage must hold before it fans out; 0 uses the
+	// process-wide default (SetSweepParallelThreshold). Tests and the fuzz
+	// harness set 1 to force the parallel path onto small fixtures.
 	SweepThreshold int
 }
 
@@ -113,7 +114,6 @@ func (c ReallocConfig) normalized() ReallocConfig {
 type Agent struct {
 	//gridlint:cluster-indexed
 	servers  []*server.Server
-	byName   map[string]int // cluster name -> server index
 	mapping  MappingPolicy
 	realloc  ReallocConfig
 	location map[int]int // jobID -> server index while the job is in the system
@@ -137,8 +137,8 @@ type Agent struct {
 	gatherValid []bool
 	sorter      candidateOrderSorter //gridlint:keep-across-reset stateless sort scratch
 
-	// Scratch buffers reused across reallocation passes, so a sweep's
-	// bookkeeping (candidate gathering, the ECT matrix, the estimate slice)
+	// Scratch buffers reused across reallocation passes, so a pass's
+	// bookkeeping (candidate gathering, the shape tables, the estimates)
 	// allocates only when the platform outgrows every previous pass.
 	//gridlint:cluster-indexed
 	scratchWaiting       [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
@@ -147,24 +147,13 @@ type Agent struct {
 	scratchSortedCands   []Candidate          //gridlint:keep-across-reset capacity only, truncated before use
 	scratchSortedOrigins []int                //gridlint:keep-across-reset capacity only, truncated before use
 	scratchOrder         []int                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchEsts          []Estimate           //gridlint:keep-across-reset capacity only, truncated before use
-	//gridlint:cluster-indexed
-	scratchSnaps    []batch.EstimateSnapshot //gridlint:keep-across-reset capacity only, refreshed before use
-	scratchECTs     []int64                  //gridlint:keep-across-reset capacity only, truncated before use
-	scratchRows     [][]int64                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchWalls    []int64                  //gridlint:keep-across-reset capacity only, truncated before use
-	scratchWallRows [][]int64                //gridlint:keep-across-reset capacity only, truncated before use
-	//gridlint:cluster-indexed
-	scratchErrs []error //gridlint:keep-across-reset capacity only, truncated before use
+	sw                   sweep                //gridlint:keep-across-reset capacity only, rebuilt by newSweep at every pass
 }
 
 // NewAgent builds an agent over the given servers. Mapping defaults to MCT
 // when nil.
 func NewAgent(servers []*server.Server, mapping MappingPolicy, realloc ReallocConfig) (*Agent, error) {
-	a := &Agent{
-		byName:   make(map[string]int, len(servers)),
-		location: make(map[int]int),
-	}
+	a := &Agent{location: make(map[int]int)}
 	if err := a.reset(servers, mapping, realloc); err != nil {
 		return nil, err
 	}
@@ -183,10 +172,6 @@ func (a *Agent) reset(servers []*server.Server, mapping MappingPolicy, realloc R
 		mapping = MCTMapping()
 	}
 	a.servers = servers
-	clear(a.byName)
-	for i, s := range servers {
-		a.byName[s.Name()] = i
-	}
 	a.mapping = mapping
 	a.realloc = realloc.normalized()
 	clear(a.location)
@@ -378,158 +363,230 @@ func (s *candidateOrderSorter) Swap(x, y int) {
 	s.order[x], s.order[y] = s.order[y], s.order[x]
 }
 
-// sweep is the per-pass estimation state: one availability snapshot per
-// cluster, taken once and reused across every candidate job and every
-// heuristic iteration, plus the ECT matrix derived from the snapshots.
-// After a migration only the two touched clusters are re-snapshotted and
-// only their matrix columns recomputed, so a pass over n candidates and m
-// clusters costs O(n*m) slot searches up front plus O(n) per move instead
-// of O(n*m) per move.
+// shapeKey identifies a job shape. Candidates with the same processor count
+// and reference walltime reserve the same scaled walltime on every cluster,
+// so one snapshot gives them the same answer and the sweep queries each
+// cluster once per shape.
+type shapeKey struct {
+	procs    int
+	walltime int64
+}
+
+// shapeColumn is one cluster's answers over the shapes of a pass.
+type shapeColumn struct {
+	ects  []int64 // per shape; NoEstimate when the shape cannot run here
+	walls []int64 // per shape: the scaled walltime on this cluster
+}
+
+// sweep is the estimation state of one reallocation pass. Candidates are
+// grouped by shape, and each cluster keeps one snapshot and one column of
+// ECTs over the shapes: a pass over k distinct shapes on m clusters costs
+// k*m slot searches up front, and a placement or move re-queries only the
+// touched clusters' columns, once per shape that still has candidates.
+// Only the estimates that read a changed answer are rebuilt. The storage
+// lives on the Agent and is reused by every pass.
 type sweep struct {
 	a   *Agent
 	now int64
+	// cancelled marks an Algorithm 2 pass: no candidate is queued anywhere,
+	// so its origin cluster answers like any other.
+	cancelled bool
 	//gridlint:cluster-indexed
 	snaps []batch.EstimateSnapshot // one per cluster, refreshed in place
-	ects  [][]int64                // [candidate][cluster]; NoEstimate when unavailable
-	// walls caches each candidate's scaled walltime per cluster (0 = not
-	// yet computed): a column refresh after a move re-estimates every
-	// remaining candidate, and the reservation length does not change.
-	walls [][]int64
+	//gridlint:cluster-indexed
+	cols []shapeColumn
+	//gridlint:cluster-indexed
+	errs []error
+
+	ids     map[shapeKey]int
+	jobs    []workload.Job // per shape: its first candidate's job
+	live    []int          // per shape: candidates not yet handled
+	changed []bool         // per shape: an answer moved in the last refresh
+
+	// The remaining candidates with their origin cluster, shape and
+	// estimate. A handled candidate is swap-removed, which reorders the
+	// rest; every Heuristic picks the same job under any order.
+	cands   []Candidate
+	origins []int
+	shape   []int
+	ests    []Estimate
 }
 
-// newSweep snapshots every cluster and fills the ECT matrix for the given
-// candidates. The matrix backing is one flat allocation (reused across
-// passes), and the per-cluster work — one snapshot plus that cluster's
-// matrix column — is fanned over the bounded worker pool on sweeps large
-// enough to pay for it. Each worker touches exactly one cluster's scheduler
-// and writes only its own column and error slot, so the merged result is
-// bit-identical to the sequential sweep regardless of scheduling order;
-// errors are surfaced in platform order for the same reason.
-func (a *Agent) newSweep(now int64, cands []Candidate) (*sweep, error) {
-	n, m := len(cands), len(a.servers)
-	if cap(a.scratchSnaps) < m {
-		// Carry the old snapshots into the grown slice: they still hold
-		// references on plan profiles, and the next EstimateSnapshotInto
-		// refresh releases those only if the snapshot structs survive.
-		snaps := make([]batch.EstimateSnapshot, m)
-		copy(snaps, a.scratchSnaps)
-		a.scratchSnaps = snaps
-		a.scratchErrs = make([]error, m)
+// resized returns s with length n, keeping its contents (including any
+// beyond len) and reallocating only when the capacity is short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	if cap(a.scratchECTs) < n*m {
-		a.scratchECTs = make([]int64, n*m)
-		a.scratchWalls = make([]int64, n*m)
+	return s[:n]
+}
+
+// newSweep groups the candidates by shape, snapshots every cluster, fills
+// its column and builds every estimate. The per-cluster work — one snapshot
+// plus that cluster's column — is fanned over the bounded worker pool on
+// sweeps large enough to pay for it. Each worker touches exactly one
+// cluster's scheduler and writes only its own column and error slot, so the
+// merged result is bit-identical to the sequential sweep regardless of
+// scheduling order; errors are surfaced in platform order for the same
+// reason.
+func (a *Agent) newSweep(now int64, cands []Candidate, origins []int, cancelled bool) (*sweep, error) {
+	sw := &a.sw
+	sw.a, sw.now, sw.cancelled = a, now, cancelled
+	sw.cands, sw.origins = cands, origins
+	if sw.ids == nil {
+		sw.ids = make(map[shapeKey]int, len(cands))
 	}
-	if cap(a.scratchRows) < n {
-		a.scratchRows = make([][]int64, n)
-		a.scratchWallRows = make([][]int64, n)
-	}
-	sw := &sweep{
-		a:     a,
-		now:   now,
-		snaps: a.scratchSnaps[:m],
-		ects:  a.scratchRows[:n],
-		walls: a.scratchWallRows[:n],
-	}
-	flat := a.scratchECTs[:n*m]
-	flatW := a.scratchWalls[:n*m]
-	for i := range flatW {
-		flatW[i] = 0
-	}
-	for i := range sw.ects {
-		sw.ects[i] = flat[i*m : (i+1)*m : (i+1)*m]
-		sw.walls[i] = flatW[i*m : (i+1)*m : (i+1)*m]
-	}
-	errs := a.scratchErrs[:m]
-	a.forEachCluster(m, n*m, func(idx int) {
-		if err := a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], now); err != nil {
-			errs[idx] = err
-			return
+	clear(sw.ids)
+	// A pass has at most one shape per candidate; sizing every table for
+	// that keeps the appends below from reallocating.
+	sw.jobs = slices.Grow(sw.jobs[:0], len(cands))
+	sw.live = slices.Grow(sw.live[:0], len(cands))
+	sw.shape = resized(sw.shape, len(cands))
+	sw.ests = resized(sw.ests, len(cands))
+	for i, c := range cands {
+		k := shapeKey{c.Job.Procs, c.Job.Walltime}
+		id, ok := sw.ids[k]
+		if !ok {
+			id = len(sw.jobs)
+			sw.ids[k] = id
+			sw.jobs = append(sw.jobs, c.Job)
+			sw.live = append(sw.live, 0)
 		}
-		errs[idx] = nil
-		for i := range cands {
-			sw.ects[i][idx] = sw.query(i, idx, cands[i].Job)
-		}
+		sw.live[id]++
+		sw.shape[i] = id
+	}
+	sw.changed = resized(sw.changed, len(sw.jobs))
+	clear(sw.changed)
+
+	m := len(a.servers)
+	// Snapshots carried over from earlier passes still hold references on
+	// plan profiles; resized keeps them so the refresh below releases them.
+	sw.snaps = resized(sw.snaps, m)
+	sw.cols = resized(sw.cols, m)
+	sw.errs = resized(sw.errs, m)
+	a.forEachCluster(m, len(sw.jobs)*m, func(idx int) {
+		sw.errs[idx] = sw.fillColumn(idx)
 	})
-	for idx, err := range errs {
+	for idx, err := range sw.errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshotting %s: %w", a.servers[idx].Name(), err)
 		}
 	}
+	for i := range cands {
+		sw.estimate(i)
+	}
 	return sw, nil
 }
 
-// query answers one (job, cluster) ECT from the cluster's snapshot,
-// returning NoEstimate when the job can never run there. A snapshot whose
+// fillColumn snapshots one cluster and answers every shape on it.
+func (sw *sweep) fillColumn(idx int) error {
+	if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
+		return err
+	}
+	col := &sw.cols[idx]
+	col.ects = resized(col.ects, len(sw.jobs))
+	col.walls = resized(col.walls, len(sw.jobs))
+	for s, j := range sw.jobs {
+		col.walls[s] = sw.snaps[idx].ScaledWalltime(j)
+		col.ects[s] = sw.query(idx, s)
+	}
+	return nil
+}
+
+// query answers one (shape, cluster) ECT from the cluster's snapshot,
+// returning NoEstimate when the shape can never run there. A snapshot whose
 // plan changed under it — which only happens when a capacity event fires at
 // the sweep instant, as the sweep itself refreshes the clusters it mutates —
 // is re-taken first, so estimates never reflect capacity the cluster lost.
-func (sw *sweep) query(i, idx int, j workload.Job) int64 {
+func (sw *sweep) query(idx, s int) int64 {
 	if sw.snaps[idx].Stale() {
 		if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
 			return NoEstimate
 		}
 	}
-	wall := sw.walls[i][idx]
-	if wall == 0 {
-		wall = sw.snaps[idx].ScaledWalltime(j)
-		sw.walls[i][idx] = wall
-	}
-	ect, ok := sw.snaps[idx].TryEstimateCompletionScaled(j.Procs, wall)
+	ect, ok := sw.snaps[idx].TryEstimateCompletionScaled(sw.jobs[s].Procs, sw.cols[idx].walls[s])
 	if !ok {
 		return NoEstimate
 	}
 	return ect
 }
 
-// refreshCluster re-snapshots one cluster (whose queue just changed) and
-// recomputes its matrix column for the remaining candidates.
-func (sw *sweep) refreshCluster(idx int, cands []Candidate) error {
+// refreshCluster re-snapshots one cluster whose queue just changed and
+// re-queries its column for every shape that still has candidates, marking
+// the shapes whose answer moved.
+func (sw *sweep) refreshCluster(idx int) error {
 	if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
 		return fmt.Errorf("core: snapshotting %s: %w", sw.a.servers[idx].Name(), err)
 	}
-	for i := range cands {
-		sw.ects[i][idx] = sw.query(i, idx, cands[i].Job)
+	col := &sw.cols[idx]
+	for s, n := range sw.live {
+		if n == 0 {
+			continue
+		}
+		if ect := sw.query(idx, s); ect != col.ects[s] {
+			col.ects[s] = ect
+			sw.changed[s] = true
+		}
 	}
 	return nil
 }
 
-// remove drops the candidate's matrix and wall-cache rows, mirroring the
-// caller's removal from the candidate slice.
-func (sw *sweep) remove(i int) {
-	sw.ects = append(sw.ects[:i], sw.ects[i+1:]...)
-	sw.walls = append(sw.walls[:i], sw.walls[i+1:]...)
+// settle rebuilds the estimates that a refresh of clusters x and y made
+// stale: those of candidates whose shape's answer moved and, while the
+// jobs are still queued (Algorithm 1), those queued on x or y, whose
+// planned completion may have moved. Every other estimate reads only
+// unchanged answers.
+func (sw *sweep) settle(x, y int) {
+	for i := range sw.cands {
+		if o := sw.origins[i]; !sw.cancelled && (o == x || o == y) {
+			if ect, err := sw.a.servers[o].CurrentCompletion(sw.cands[i].Job.ID); err == nil {
+				sw.cands[i].OriginECT = ect
+			}
+		} else if !sw.changed[sw.shape[i]] {
+			continue
+		}
+		sw.estimate(i)
+	}
+	clear(sw.changed)
 }
 
-// estimate builds the Estimate for one candidate from its matrix row. When
-// hypothetical is true, the origin cluster is treated like any other cluster
-// (the job is no longer queued there, as in Algorithm 2); otherwise the
-// origin cluster contributes originECT, the job's current planned
-// completion.
-func (sw *sweep) estimate(i, origin int, originECT int64, hypothetical bool) Estimate {
-	est := Estimate{BestECT: NoEstimate, SecondECT: NoEstimate, BestOtherECT: NoEstimate}
-	for idx, s := range sw.a.servers {
-		ect := sw.ects[i][idx]
-		other := idx != origin
-		if idx == origin && !hypothetical {
-			ect = originECT
+// remove swap-deletes handled candidate i in O(1).
+func (sw *sweep) remove(i int) {
+	sw.live[sw.shape[i]]--
+	last := len(sw.cands) - 1
+	sw.cands[i], sw.origins[i], sw.shape[i], sw.ests[i] = sw.cands[last], sw.origins[last], sw.shape[last], sw.ests[last]
+	sw.cands, sw.origins, sw.shape, sw.ests = sw.cands[:last], sw.origins[:last], sw.shape[:last], sw.ests[:last]
+}
+
+// estimate rebuilds candidate i's Estimate from its shape's answers. In a
+// cancelled pass the origin answers like any other cluster and that answer
+// becomes OriginECT; otherwise the origin contributes OriginECT, the job's
+// current planned completion.
+func (sw *sweep) estimate(i int) {
+	c, s, origin := &sw.cands[i], sw.shape[i], sw.origins[i]
+	if sw.cancelled {
+		c.OriginECT = sw.cols[origin].ects[s]
+	}
+	est := Estimate{BestECT: NoEstimate, BestCluster: -1, SecondECT: NoEstimate, BestOtherECT: NoEstimate, BestOtherCluster: -1}
+	for idx := range sw.cols {
+		ect := sw.cols[idx].ects[s]
+		if idx == origin {
+			ect = c.OriginECT
 		}
 		if ect == NoEstimate {
 			continue
 		}
 		if ect < est.BestECT {
 			est.SecondECT = est.BestECT
-			est.BestECT = ect
-			est.BestCluster = s.Name()
+			est.BestECT, est.BestCluster = ect, idx
 		} else if ect < est.SecondECT {
 			est.SecondECT = ect
 		}
-		if other && ect < est.BestOtherECT {
-			est.BestOtherECT = ect
-			est.BestOtherCluster = s.Name()
+		if idx != origin && ect < est.BestOtherECT {
+			est.BestOtherECT, est.BestOtherCluster = ect, idx
 		}
 	}
-	return est
+	sw.ests[i] = est
 }
 
 // reallocateWithoutCancellation implements Algorithm 1 of the paper.
@@ -538,73 +595,43 @@ func (a *Agent) reallocateWithoutCancellation(now int64, totalWaiting int) (int,
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	sw, err := a.newSweep(now, cands)
+	sw, err := a.newSweep(now, cands, origins, false)
 	if err != nil {
 		return 0, err
 	}
-	if cap(a.scratchEsts) < len(cands) {
-		a.scratchEsts = make([]Estimate, len(cands))
-	}
-	ests := a.scratchEsts[:len(cands)]
-	for i := range cands {
-		ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, false)
-	}
 	moves := 0
-	for len(cands) > 0 {
-		pick := a.realloc.Heuristic.Select(cands, ests)
-		c, origin := cands[pick], origins[pick]
-		est := ests[pick]
-
-		moved := false
-		destIdx := -1
-		if est.BestOtherECT != NoEstimate && est.BestOtherECT+a.realloc.MinGain < c.OriginECT {
-			var ok bool
-			destIdx, ok = a.byName[est.BestOtherCluster]
-			if !ok {
-				return moves, fmt.Errorf("core: unknown destination cluster %q", est.BestOtherCluster)
-			}
-			switch err := a.moveJob(c, origin, destIdx, now); {
-			case err == nil:
-				moves++
-				moved = true
-			case errors.Is(err, batch.ErrJobRunning):
-				// The job started between the queue snapshot and the cancel;
-				// it is no longer a candidate. Skip it, keep the sweep going.
-				a.skippedRaces++
-			default:
-				return moves, err
-			}
-		}
-
-		// Drop the handled candidate.
-		cands = append(cands[:pick], cands[pick+1:]...)
-		origins = append(origins[:pick], origins[pick+1:]...)
-		ests = append(ests[:pick], ests[pick+1:]...)
+	for len(sw.cands) > 0 {
+		pick := a.realloc.Heuristic.Select(sw.cands, sw.ests)
+		c, origin, est := sw.cands[pick], sw.origins[pick], sw.ests[pick]
 		sw.remove(pick)
-
-		// A migration changes exactly two clusters' queues; refresh their
-		// snapshots and matrix columns and rebuild the estimates. Estimates
-		// against untouched clusters are reused from the matrix. When
-		// nothing moved, the platform state is unchanged and everything
-		// stays valid.
-		if moved && len(cands) > 0 {
-			if err := sw.refreshCluster(origin, cands); err != nil {
-				return moves, err
-			}
-			if err := sw.refreshCluster(destIdx, cands); err != nil {
-				return moves, err
-			}
-			for i := range cands {
-				// Only jobs queued on a touched cluster can have a changed
-				// planned completion.
-				if origins[i] == origin || origins[i] == destIdx {
-					if ect, err := a.servers[origins[i]].CurrentCompletion(cands[i].Job.ID); err == nil {
-						cands[i].OriginECT = ect
-					}
-				}
-				ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, false)
-			}
+		if est.BestOtherECT == NoEstimate || est.BestOtherECT+a.realloc.MinGain >= c.OriginECT {
+			continue
 		}
+		dest := est.BestOtherCluster
+		switch err := a.moveJob(c, origin, dest, now); {
+		case err == nil:
+			moves++
+		case errors.Is(err, batch.ErrJobRunning):
+			// The job started between the queue snapshot and the cancel;
+			// it is no longer a candidate. Skip it, keep the sweep going.
+			a.skippedRaces++
+			continue
+		default:
+			return moves, err
+		}
+		// A migration changes exactly two clusters' queues: refresh their
+		// columns and the estimates that read them. When nothing moved,
+		// the platform state is unchanged and everything stays valid.
+		if len(sw.cands) == 0 {
+			break
+		}
+		if err := sw.refreshCluster(origin); err != nil {
+			return moves, err
+		}
+		if err := sw.refreshCluster(dest); err != nil {
+			return moves, err
+		}
+		sw.settle(origin, dest)
 	}
 	return moves, nil
 }
@@ -662,51 +689,35 @@ func (a *Agent) reallocateWithCancellation(now int64, totalWaiting int) (int, er
 		return 0, nil
 	}
 	// Snapshot the emptied queues once; each placement below changes exactly
-	// one cluster, whose snapshot and matrix column are then refreshed.
-	sw, err := a.newSweep(now, cands)
+	// one cluster, whose column is then refreshed.
+	sw, err := a.newSweep(now, cands, origins, true)
 	if err != nil {
 		return 0, err
 	}
 	moves := 0
-	if cap(a.scratchEsts) < len(cands) {
-		a.scratchEsts = make([]Estimate, len(cands))
-	}
-	ests := a.scratchEsts[:len(cands)]
-	for len(cands) > 0 {
-		// The origin cluster answers hypothetically because the job is no
-		// longer queued there.
-		ests = ests[:len(cands)]
-		for i := range cands {
-			cands[i].OriginECT = sw.ects[i][origins[i]]
-			ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, true)
-		}
-		pick := a.realloc.Heuristic.Select(cands, ests)
-		c, origin, est := cands[pick], origins[pick], ests[pick]
-
-		destIdx := origin
-		if est.BestCluster != "" {
-			if idx, ok := a.byName[est.BestCluster]; ok {
-				destIdx = idx
-			}
+	for len(sw.cands) > 0 {
+		pick := a.realloc.Heuristic.Select(sw.cands, sw.ests)
+		c, origin, est := sw.cands[pick], sw.origins[pick], sw.ests[pick]
+		sw.remove(pick)
+		dest := origin
+		if est.BestECT != NoEstimate {
+			dest = est.BestCluster
 		}
 		migrated := c.Reallocations
-		if destIdx != origin {
+		if dest != origin {
 			migrated++
 			moves++
 			a.totalReallocations++
 		}
-		if err := a.servers[destIdx].Submit(c.Job, now, migrated); err != nil {
-			return moves, fmt.Errorf("core: resubmitting job %d to %s: %w", c.Job.ID, a.servers[destIdx].Name(), err)
+		if err := a.servers[dest].Submit(c.Job, now, migrated); err != nil {
+			return moves, fmt.Errorf("core: resubmitting job %d to %s: %w", c.Job.ID, a.servers[dest].Name(), err)
 		}
-		a.location[c.Job.ID] = destIdx
-
-		cands = append(cands[:pick], cands[pick+1:]...)
-		origins = append(origins[:pick], origins[pick+1:]...)
-		sw.remove(pick)
-		if len(cands) > 0 {
-			if err := sw.refreshCluster(destIdx, cands); err != nil {
+		a.location[c.Job.ID] = dest
+		if len(sw.cands) > 0 {
+			if err := sw.refreshCluster(dest); err != nil {
 				return moves, err
 			}
+			sw.settle(dest, dest)
 		}
 	}
 	return moves, nil

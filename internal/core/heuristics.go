@@ -35,8 +35,9 @@ type Estimate struct {
 	// BestECT is the smallest estimated completion time across all clusters
 	// (including the origin cluster's own estimate).
 	BestECT int64
-	// BestCluster is the name of the cluster achieving BestECT.
-	BestCluster string
+	// BestCluster is the platform index of the cluster achieving BestECT,
+	// or -1 when no cluster can run the job.
+	BestCluster int
 	// SecondECT is the second smallest estimated completion time, or
 	// NoEstimate when fewer than two clusters can run the job.
 	SecondECT int64
@@ -44,8 +45,9 @@ type Estimate struct {
 	// different from the origin cluster, or NoEstimate when no other cluster
 	// can run the job.
 	BestOtherECT int64
-	// BestOtherCluster is the name of the cluster achieving BestOtherECT.
-	BestOtherCluster string
+	// BestOtherCluster is the platform index of the cluster achieving
+	// BestOtherECT, or -1 when no other cluster can run the job.
+	BestOtherCluster int
 }
 
 // NoEstimate marks an absent completion-time estimate (for example the
@@ -75,9 +77,14 @@ func (e Estimate) Sufferage() int64 {
 	return e.SecondECT - e.BestECT
 }
 
-// Heuristic orders the candidates of a reallocation pass. Implementations
-// must be deterministic: ties are expected to be broken by submission time
-// and then job ID, which the helper pickBest guarantees.
+// Heuristic orders the candidates of a reallocation pass.
+//
+// Contract: the job Select picks must not depend on the order of the
+// candidates. Permuting (cands, ests) together must yield the same job, so
+// ties have to be broken by a total order; the heuristics here break them
+// by submission time and then job ID, which the helper pickBest
+// guarantees. The reallocation sweep relies on this: it removes a handled
+// candidate by moving the last one into its slot.
 type Heuristic interface {
 	// Name returns the identifier used in the paper's tables ("Mct",
 	// "MinMin", ...).

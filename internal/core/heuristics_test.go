@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"gridrealloc/internal/workload"
@@ -78,9 +79,9 @@ func TestMaxGainAndRelGain(t *testing.T) {
 		cand(3, 30, 1, 500),  // gain 300
 	}
 	ests := []Estimate{
-		{BestOtherECT: 600, BestOtherCluster: "b"},
-		{BestOtherECT: 800, BestOtherCluster: "b"},
-		{BestOtherECT: 200, BestOtherCluster: "b"},
+		{BestOtherECT: 600, BestOtherCluster: 1},
+		{BestOtherECT: 800, BestOtherCluster: 1},
+		{BestOtherECT: 200, BestOtherCluster: 1},
 	}
 	if got := MaxGain().Select(cands, ests); got != 1 {
 		t.Fatalf("MaxGain selected %d, want 1 (absolute gain 1200)", got)
@@ -98,7 +99,7 @@ func TestGainWithNoOtherCluster(t *testing.T) {
 	}
 	// Such a candidate must lose against any candidate with a real gain.
 	cands := []Candidate{c, cand(2, 20, 1, 700)}
-	ests := []Estimate{e, {BestOtherECT: 650, BestOtherCluster: "b"}}
+	ests := []Estimate{e, {BestOtherECT: 650, BestOtherCluster: 1}}
 	if got := MaxGain().Select(cands, ests); got != 1 {
 		t.Fatalf("MaxGain selected the unmovable candidate")
 	}
@@ -131,10 +132,42 @@ func TestPickBestTieBreaksBySubmission(t *testing.T) {
 
 func TestHeuristicsSingleCandidate(t *testing.T) {
 	cands := []Candidate{cand(1, 10, 4, 900)}
-	ests := []Estimate{{BestECT: 500, SecondECT: 600, BestOtherECT: 500, BestOtherCluster: "x"}}
+	ests := []Estimate{{BestECT: 500, SecondECT: 600, BestOtherECT: 500, BestOtherCluster: 1}}
 	for _, h := range Heuristics() {
 		if got := h.Select(cands, ests); got != 0 {
 			t.Fatalf("%s selected %d for a single candidate", h.Name(), got)
+		}
+	}
+}
+
+// TestSelectIgnoresCandidateOrder pins the Heuristic contract the sweep's
+// O(1) swap removal relies on: every heuristic picks the same job under any
+// permutation of (cands, ests). The draws use few distinct values so that
+// scores tie often and the (submit, ID) tie-break decides.
+func TestSelectIgnoresCandidateOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ects := []int64{500, 700, 900, NoEstimate}
+	draw := func() int64 { return ects[rng.Intn(len(ects))] }
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(10)
+		cands := make([]Candidate, n)
+		ests := make([]Estimate, n)
+		for i, id := range rng.Perm(n) {
+			cands[i] = cand(id+1, int64(rng.Intn(3)), 1<<rng.Intn(3), 600+int64(rng.Intn(3))*200)
+			ests[i] = Estimate{BestECT: draw(), SecondECT: draw(), BestOtherECT: draw()}
+		}
+		for _, h := range Heuristics() {
+			want := cands[h.Select(cands, ests)].Job.ID
+			for p := 0; p < 8; p++ {
+				pc := make([]Candidate, n)
+				pe := make([]Estimate, n)
+				for i, j := range rng.Perm(n) {
+					pc[i], pe[i] = cands[j], ests[j]
+				}
+				if got := pc[h.Select(pc, pe)].Job.ID; got != want {
+					t.Fatalf("trial %d: %s picked job %d, after a permutation job %d", trial, h.Name(), want, got)
+				}
+			}
 		}
 	}
 }

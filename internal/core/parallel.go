@@ -7,8 +7,8 @@ import (
 )
 
 // The reallocation sweep fans its per-cluster work — taking an
-// EstimateSnapshot and filling that cluster's column of the ECT matrix —
-// over a bounded worker pool. Every cluster's batch scheduler is an
+// EstimateSnapshot and filling that cluster's ECT column over the pass's
+// job shapes — over a bounded worker pool. Every cluster's batch scheduler is an
 // independent object and every worker writes only to its own cluster's
 // slots, so the merge is order-independent and the results are bit-identical
 // to the sequential loop; only wall-clock time changes. Tiny sweeps skip the
@@ -17,8 +17,9 @@ import (
 var (
 	// sweepWorkers bounds the worker pool; 1 disables parallelism.
 	sweepWorkers = runtime.GOMAXPROCS(0)
-	// sweepMinWork is the minimum number of (candidate, cluster) pairs a
-	// sweep stage must hold before it fans out.
+	// sweepMinWork is the minimum work a sweep stage must hold before it
+	// fans out: queued jobs for the gather, (shape, cluster) queries for the
+	// column fill.
 	sweepMinWork = 2048
 )
 
@@ -38,10 +39,10 @@ func SetSweepParallelism(workers int) {
 	sweepWorkers = workers
 }
 
-// SetSweepParallelThreshold sets the minimum number of (candidate, cluster)
-// pairs a sweep must hold before it fans out; below it the sweep runs
-// sequentially because the goroutine handoff would cost more than the
-// queries. pairs <= 0 restores the default. Tests set it to 1 to force the
+// SetSweepParallelThreshold sets the minimum work (queued jobs, or
+// (shape, cluster) queries) a sweep stage must hold before it fans out;
+// below it the sweep runs sequentially because the goroutine handoff would
+// cost more than the queries. pairs <= 0 restores the default. Tests set it to 1 to force the
 // parallel path onto small fixtures.
 func SetSweepParallelThreshold(pairs int) {
 	if pairs <= 0 {
@@ -52,8 +53,8 @@ func SetSweepParallelThreshold(pairs int) {
 
 // forEachCluster runs fn(idx) for every idx in [0, n) with the per-agent
 // parallelism settings (falling back to the process-wide defaults), fanning
-// the calls over the worker pool when the estimated work (in candidate x
-// cluster pairs) clears the threshold. fn must touch only per-idx state:
+// the calls over the worker pool when the estimated work clears the
+// threshold. fn must touch only per-idx state:
 // each cluster's scheduler is owned by exactly one worker for the duration
 // of the call, and results land in per-idx slots.
 //

@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,37 @@ func TestModulePackagesSkipsTestdata(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("expected %s in module package list, got %v", want, pkgs)
 		}
+	}
+}
+
+// TestModulePackagesSkipsNestedModules checks that a subdirectory with its
+// own go.mod is left out of the walk, as go list ./... leaves it out, even
+// when its name carries no "_" or "." prefix.
+func TestModulePackagesSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module outer\n\ngo 1.24\n")
+	write("outer.go", "package outer\n")
+	write("pkg/pkg.go", "package pkg\n")
+	write("bench/go.mod", "module outer/bench\n\ngo 1.24\n")
+	write("bench/main.go", "package main\n")
+	write("bench/sub/sub.go", "package sub\n")
+	pkgs, err := NewLoader(root, "outer").ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"outer", "outer/pkg"}
+	if !reflect.DeepEqual(pkgs, want) {
+		t.Fatalf("ModulePackages() = %v, want %v", pkgs, want)
 	}
 }
 

@@ -289,8 +289,10 @@ func (l *Loader) index(pkg *Package) {
 }
 
 // ModulePackages returns the import paths of every package under the
-// loader's root, in sorted order, skipping hidden directories and testdata
-// trees. Directories without non-test Go files are omitted.
+// loader's root, in sorted order, skipping hidden directories, testdata
+// trees and, as go list ./... does, any subdirectory holding its own go.mod
+// (a nested module is not part of this one). Directories without non-test
+// Go files are omitted.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.Root, func(p string, d os.DirEntry, err error) error {
@@ -310,9 +312,14 @@ func (l *Loader) ModulePackages() ([]string, error) {
 			return err
 		}
 		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+			if e.IsDir() {
+				continue
+			}
+			if p != l.Root && e.Name() == "go.mod" {
+				return filepath.SkipDir
+			}
+			if strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 				hasGo = true
-				break
 			}
 		}
 		if !hasGo {
