@@ -602,16 +602,11 @@ func BenchmarkReallocationPassDeepQueueParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			core.SetSweepParallelism(workers)
-			core.SetSweepParallelThreshold(1)
-			defer func() {
-				core.SetSweepParallelism(0)
-				core.SetSweepParallelThreshold(0)
-			}()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				servers := build()
-				agent, err := core.NewAgent(servers, core.MCTMapping(), core.ReallocConfig{Algorithm: core.WithCancellation, Heuristic: core.MinMin()})
+				agent, err := core.NewAgent(servers, core.MCTMapping(), core.ReallocConfig{Algorithm: core.WithCancellation, Heuristic: core.MinMin(),
+					SweepWorkers: workers, SweepThreshold: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 // Command gridlint runs the gridrealloc invariant analyzers (directives,
-// resetcomplete, stateversion, poollife, determinism, sweepowner,
-// refbalance — see internal/lint) over the module and prints one line per
-// diagnostic:
+// resetcomplete, stateversion, poollife, determinism, sweepowner — see
+// internal/lint) over the module and prints one line per diagnostic:
 //
 //	path/to/file.go:line:col: analyzer: message
 //
@@ -20,10 +19,10 @@
 // directive -> count object).
 //
 // -suppressions counts the suite's suppression directives
-// (keep-across-reset, allow-retain, unordered-ok, ref-transferred) instead
-// of reporting diagnostics, prints the counts in LINT_SUPPRESSIONS format,
-// and fails when a count exceeds the committed baseline — the suppression
-// budget only ratchets down.
+// (keep-across-reset, allow-retain, unordered-ok) instead of reporting
+// diagnostics, prints the counts in LINT_SUPPRESSIONS format, and fails
+// when a count exceeds the committed baseline — the suppression budget only
+// ratchets down.
 //
 // Exit status: 0 when the tree is clean (or within the suppression budget),
 // 1 when diagnostics were reported (or the budget is exceeded), 2 when the

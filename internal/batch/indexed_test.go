@@ -151,24 +151,87 @@ func TestEstimateSnapshotMatchesDirectQuery(t *testing.T) {
 		if snap.Stale() {
 			t.Fatal("snapshot stale with no intervening mutation")
 		}
-		// A mutation makes the snapshot stale but it still answers with the
-		// state at snapshot time.
-		before, err := snap.EstimateCompletion(job(3000, 10, 200, 400, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A mutation makes the snapshot stale, and a stale snapshot refuses
+		// to answer; a re-taken one agrees with the direct query again.
+		probe := job(3000, 10, 200, 400, 4)
 		if err := s.Submit(job(999, 10, 300, 900, 8), 10, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !snap.Stale() {
 			t.Fatal("snapshot not stale after a submission")
 		}
-		after, err := snap.EstimateCompletion(job(3000, 10, 200, 400, 4))
+		if _, err := snap.EstimateCompletion(probe); !errors.Is(err, ErrStaleSnapshot) {
+			t.Fatalf("stale snapshot: err = %v, want ErrStaleSnapshot", err)
+		}
+		if ect, ok := snap.TryEstimateCompletion(probe); ok {
+			t.Fatalf("stale snapshot answered %d", ect)
+		}
+		snap, err = s.EstimateSnapshot(10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if before != after {
-			t.Fatalf("stale snapshot changed its answer: %d -> %d", before, after)
+		direct, err := s.EstimateCompletion(probe, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fromSnap, err := snap.EstimateCompletion(probe); err != nil || fromSnap != direct {
+			t.Fatalf("[%v] re-taken snapshot = %d (%v), direct estimate %d", policy, fromSnap, err, direct)
+		}
+	}
+}
+
+// TestEstimateSnapshotCycleAllocationFree pins that snapshots are free to
+// take and query while the plan they view is rebuilt and appended to in
+// place: after a warm-up, a cycle of snapshot, query, cancel (which forces a
+// re-plan), a second snapshot and query, and an appended resubmit of the
+// cancelled job allocates nothing.
+func TestEstimateSnapshotCycleAllocationFree(t *testing.T) {
+	for _, policy := range []Policy{FCFS, CBF} {
+		s := newTestScheduler(t, 8, 1.3, policy)
+		// The debug cross-check builds a from-scratch profile per re-plan.
+		s.SetDebugCrossCheck(false)
+		for i := 0; i < 20; i++ {
+			if err := s.Submit(job(i+1, 0, 300, 900, 1+i%8), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		collect(t, s, 10)
+		probe := job(1000, 10, 200, 400, 3)
+		query := func() {
+			sn, err := s.EstimateSnapshot(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := sn.TryEstimateCompletion(probe); !ok {
+				t.Fatal("fresh snapshot refused a query")
+			}
+		}
+		cycle := func() {
+			query()
+			head := s.waiting[0].job
+			if _, _, err := s.Cancel(head.ID, 10); err != nil {
+				t.Fatal(err)
+			}
+			query()
+			if err := s.Submit(head, 10, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3*len(s.waiting); i++ {
+			cycle()
+		}
+		before := s.ProfileStats()
+		allocs := testing.AllocsPerRun(50, cycle)
+		after := s.ProfileStats()
+		if allocs != 0 {
+			t.Errorf("[%v] snapshot cycle allocates %.1f times", policy, allocs)
+		}
+		// AllocsPerRun runs the cycle once more as its own warm-up.
+		if got := after.PlanRebuilds - before.PlanRebuilds; got != 51 {
+			t.Errorf("[%v] %d re-plans over 51 cycles, want one per cancel", policy, got)
+		}
+		if got := after.PlanAppends - before.PlanAppends; got != 51 {
+			t.Errorf("[%v] %d appends over 51 cycles, want one per resubmit", policy, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -453,5 +454,57 @@ func TestBucketSummaryActivation(t *testing.T) {
 	}
 	if len(p.bmax) != 0 || len(p.bmin) != 0 {
 		t.Fatalf("summaries survived deactivation: %d/%d buckets", len(p.bmax), len(p.bmin))
+	}
+}
+
+// TestProfileCheckRejectsCorruption breaks one structural invariant at a
+// time and requires check — which the property tests and the
+// GRIDREALLOC_DEBUG_PROFILE paths run after every mutation — to report it.
+func TestProfileCheckRejectsCorruption(t *testing.T) {
+	small := func() *profile {
+		p := newProfile(0, 4)
+		if err := p.reserve(0, 10, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.reserve(20, 30, 2); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	bucketed := func() *profile {
+		p := newProfile(0, 4)
+		for i := 0; len(p.times) < bucketActivate; i++ {
+			if err := p.reserve(int64(10+20*i), int64(20+20*i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	cases := []struct {
+		want    string
+		build   func() *profile
+		corrupt func(p *profile)
+	}{
+		{"profile arrays diverged", small, func(p *profile) { p.free = p.free[:len(p.free)-1] }},
+		{"no segments", small, func(p *profile) { p.times, p.free = nil, nil }},
+		{"not strictly increasing", small, func(p *profile) { p.times[2] = p.times[1] }},
+		{"free count -1", small, func(p *profile) { p.free[2] = -1 }},
+		{"free count 5", small, func(p *profile) { p.free[2] = 5 }},
+		{"out of range", small, func(p *profile) { p.firstFree = len(p.free) }},
+		{"skips non-zero", small, func(p *profile) { p.firstFree = 2 }},
+		{"bucket arrays diverged", bucketed, func(p *profile) { p.bmin = p.bmin[:len(p.bmin)-1] }},
+		{"below the activation threshold", small, func(p *profile) { p.bmax, p.bmin = []int{4}, []int{0} }},
+		{"bucket summaries for", bucketed, func(p *profile) { p.bmax, p.bmin = p.bmax[:1], p.bmin[:1] }},
+		{"disagrees with segments", bucketed, func(p *profile) { p.bmax[0]++ }},
+	}
+	for _, c := range cases {
+		p := c.build()
+		if err := p.check(); err != nil {
+			t.Fatalf("%s: clean fixture: %v", c.want, err)
+		}
+		c.corrupt(p)
+		if err := p.check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("check = %v, want an error containing %q", err, c.want)
+		}
 	}
 }

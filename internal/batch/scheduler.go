@@ -102,6 +102,9 @@ var (
 	// ErrTimeTravel is returned when an operation carries a timestamp before
 	// the scheduler's current time.
 	ErrTimeTravel = errors.New("batch: operation timestamp is in the past")
+	// ErrStaleSnapshot is returned when an estimate snapshot is queried
+	// after its cluster's plan changed.
+	ErrStaleSnapshot = errors.New("batch: estimate snapshot is stale")
 )
 
 // allocation is a job currently executing on the cluster.
@@ -266,16 +269,10 @@ type Scheduler struct {
 
 	// planProf is the availability profile including running jobs and all
 	// planned waiting reservations; planDirty defers its reconstruction until
-	// the next observation. Estimate snapshots share planProf by reference
-	// and hold a reference count on it (profile.refs): while referenced, the
-	// profile is treated as immutable (rebuilds and appends swap in a fresh
-	// buffer). Superseded buffers return to planSpares when their last
-	// snapshot releases them — EstimateSnapshotInto releases the snapshot's
-	// previous profile on refresh — so steady-state re-planning allocates
-	// nothing even though every reallocation sweep pins one profile per
-	// cluster between passes.
+	// the next observation. Rebuilds, appends and Reset all write into this
+	// one buffer in place, so steady-state re-planning allocates nothing.
+	// Estimate snapshots are views of it, valid until planVersion moves.
 	planProf    *profile
-	planSpares  []*profile //gridlint:keep-across-reset pooled spare buffers, pure capacity
 	planDirty   bool
 	planVersion uint64
 	// maxPlannedStart is the latest planned start among waiting jobs, used
@@ -401,16 +398,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.finishHeap = s.finishHeap[:0]
 	s.capacityBaseProfileInto(s.runProf, 0)
 	s.runProfValid = true
-	if s.planProf.refs > 0 {
-		// A snapshot from the previous run still references the published
-		// profile; publish a fresh buffer instead of mutating under it (the
-		// old buffer is banked when that snapshot is refreshed or dropped).
-		prof := s.takePlanBuffer()
-		prof.copyFrom(s.runProf)
-		s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	} else {
-		s.planProf.copyFrom(s.runProf)
-	}
+	s.planProf.copyFrom(s.runProf)
 	s.planDirty = false
 	s.planVersion++
 	s.maxPlannedStart = 0
@@ -501,7 +489,7 @@ func (s *Scheduler) Counters() (submissions, cancellations, ectQueries int64) {
 
 // ProfileStats reports how the incremental machinery behaved: how many times
 // the waiting-queue plan was rebuilt versus served from cache, how many ECT
-// queries were answered from detached snapshots, and how often the
+// queries were answered from estimate snapshots, and how often the
 // incremental run profile had to be reconstructed from scratch through the
 // invalidation path.
 type ProfileStats struct {
@@ -658,78 +646,18 @@ func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hi
 	return start, end, cursor, err
 }
 
-// maxPlanSpares bounds the spare-buffer bank; two buffers cover the
-// steady-state rebuild/copy-on-write cycle and a couple more absorb bursts
-// of snapshot releases without hoarding memory on idle clusters.
-const maxPlanSpares = 4
-
-// takePlanBuffer returns a profile buffer the caller may freely overwrite
-// and publish as the next planProf: a recycled spare when one is banked,
-// a fresh profile otherwise. Banked spares are never referenced outside the
-// scheduler (a buffer is only banked once its last snapshot released it), so
-// reusing one cannot disturb a snapshot.
-//
-//gridlint:pooled
-func (s *Scheduler) takePlanBuffer() *profile {
-	if n := len(s.planSpares); n > 0 {
-		p := s.planSpares[n-1]
-		s.planSpares[n-1] = nil
-		s.planSpares = s.planSpares[:n-1]
-		return p
-	}
-	return &profile{}
-}
-
-// bankPlanBuffer returns an unreferenced profile buffer to the spare bank.
-func (s *Scheduler) bankPlanBuffer(p *profile) {
-	if p == nil || len(s.planSpares) >= maxPlanSpares {
-		return
-	}
-	s.planSpares = append(s.planSpares, p)
-}
-
-// releaseSnapshotProfile drops one snapshot reference from p; the last
-// release of a superseded profile banks its buffer for reuse. The published
-// profile itself is never banked — it is still the scheduler's plan.
-func (s *Scheduler) releaseSnapshotProfile(p *profile) {
-	if p.refs > 0 {
-		p.refs--
-	}
-	if p.refs == 0 && p != s.planProf {
-		s.bankPlanBuffer(p)
-	}
-}
-
 // appendToPlan plans a newly appended entry against the current plan
-// profile without re-planning the rest of the queue. While no snapshot
-// references the published profile the reservation happens in place (reserve
-// validates before mutating, so a failure cannot publish a bad profile);
-// once a snapshot was handed out the profile is copied first, so snapshots
-// keep answering for the state they were taken at — the superseded buffer
-// returns to the spare bank when its last snapshot releases it.
+// profile, in place, without re-planning the rest of the queue. reserve
+// validates before mutating, so a failure leaves the profile untouched and
+// falls back to a full re-plan.
 func (s *Scheduler) appendToPlan(e *queueEntry) {
-	prof := s.planProf
-	if prof.refs > 0 {
-		cow := s.takePlanBuffer()
-		cow.copyFrom(prof)
-		prof = cow
-	}
-	start, end, _, err := s.placeEntry(prof, e, s.maxPlannedStart, 0)
+	start, end, _, err := s.placeEntry(s.planProf, e, s.maxPlannedStart, 0)
 	if err != nil {
-		// Fall back to a full re-plan rather than publishing a bad profile.
-		if prof != s.planProf {
-			s.bankPlanBuffer(prof)
-		}
 		s.planDirty = true
 		return
 	}
 	e.plannedStart = start
 	e.plannedEnd = end
-	if prof != s.planProf {
-		// The old profile stays pinned by its snapshots and is banked on
-		// their release.
-		s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	}
 	if start > s.maxPlannedStart {
 		s.maxPlannedStart = start
 	}
@@ -860,101 +788,57 @@ func (s *Scheduler) TryEstimateCompletion(j workload.Job, now int64) (int64, boo
 	return start + wall, true
 }
 
-// EstimateSnapshot is a detached, immutable view of the cluster's planned
-// availability at a given instant. It answers the same query as
-// EstimateCompletion but can be taken once per cluster per reallocation
-// sweep and reused across every candidate job and heuristic, avoiding one
-// plan consultation per (job, cluster) pair.
+// EstimateSnapshot is a view of the cluster's planned availability at a
+// given instant. It answers the same query as EstimateCompletion but can be
+// taken once per cluster per reallocation sweep and reused across every
+// candidate job and heuristic, avoiding one plan consultation per (job,
+// cluster) pair. A snapshot reads the scheduler's live plan, so it is valid
+// only until the cluster's next mutation: a stale snapshot refuses every
+// query.
 type EstimateSnapshot struct {
 	sched   *Scheduler
-	prof    *profile
 	now     int64
 	lower   int64
 	version uint64
 }
 
 // EstimateSnapshot returns a snapshot of the cluster's planned availability
-// at time now. The snapshot shares the plan profile by reference (mutations
-// swap in or copy to a fresh profile once a reference was handed out), so
-// taking one is O(1).
-//
-//gridlint:ref-acquire
-func (s *Scheduler) EstimateSnapshot(now int64) (*EstimateSnapshot, error) {
-	sn := &EstimateSnapshot{}
-	if err := s.EstimateSnapshotInto(sn, now); err != nil {
-		return nil, err
-	}
-	return sn, nil
-}
-
-// EstimateSnapshotInto overwrites sn with a snapshot at time now, letting a
-// caller that re-snapshots every cluster once per sweep reuse its snapshot
-// storage instead of allocating one per call. Refreshing releases the
-// snapshot's previous profile reference, so the sweep's per-cluster
-// snapshots recycle superseded plan buffers instead of leaking them to the
-// garbage collector.
-//
-//gridlint:ref-acquire
-func (s *Scheduler) EstimateSnapshotInto(sn *EstimateSnapshot, now int64) error {
+// at time now. Taking one re-plans if needed and is otherwise O(1).
+func (s *Scheduler) EstimateSnapshot(now int64) (EstimateSnapshot, error) {
 	if now < s.now {
-		return fmt.Errorf("%w: snapshot at %d, now %d", ErrTimeTravel, now, s.now)
+		return EstimateSnapshot{}, fmt.Errorf("%w: snapshot at %d, now %d", ErrTimeTravel, now, s.now)
 	}
-	sn.Release()
 	s.observePlan()
 	s.snapshots++
-	// The handed-out reference freezes the published profile: mutations now
-	// copy first (appendToPlan) or build into a fresh buffer (rebuildPlan).
-	s.planProf.refs++
 	lower := now
 	if s.policy == FCFS && s.maxPlannedStart > lower {
 		lower = s.maxPlannedStart
 	}
-	*sn = EstimateSnapshot{
-		sched:   s,
-		prof:    s.planProf,
-		now:     now,
-		lower:   lower,
-		version: s.planVersion,
-	}
-	return nil
-}
-
-// Release drops the snapshot's reference on its plan profile, returning the
-// buffer to the scheduler's spare bank when it was the last reference on a
-// superseded profile. A released (or zero) snapshot must not answer further
-// estimate queries. Release is nil-safe and idempotent, so a caller that
-// owns a snapshot for a scope can `defer sn.Release()` unconditionally;
-// callers that instead refresh the snapshot in place every sweep
-// (EstimateSnapshotInto) get the same release as part of the refresh.
-//
-//gridlint:ref-release
-func (sn *EstimateSnapshot) Release() {
-	if sn == nil || sn.prof == nil || sn.sched == nil {
-		return
-	}
-	sn.sched.releaseSnapshotProfile(sn.prof)
-	sn.prof = nil
+	return EstimateSnapshot{sched: s, now: now, lower: lower, version: s.planVersion}, nil
 }
 
 // Cluster returns the name of the cluster the snapshot was taken from.
-func (sn *EstimateSnapshot) Cluster() string { return sn.sched.spec.Name }
+func (sn EstimateSnapshot) Cluster() string { return sn.sched.spec.Name }
 
 // Time returns the instant the snapshot describes.
-func (sn *EstimateSnapshot) Time() int64 { return sn.now }
+func (sn EstimateSnapshot) Time() int64 { return sn.now }
 
 // Stale reports whether the cluster's plan has changed since the snapshot
-// was taken; a stale snapshot answers queries for the state at snapshot
-// time, not the current state.
-func (sn *EstimateSnapshot) Stale() bool {
+// was taken. A stale snapshot answers no queries; take a new one.
+func (sn EstimateSnapshot) Stale() bool {
 	return sn.sched.planDirty || sn.sched.planVersion != sn.version
 }
 
 // EstimateCompletion answers the completion-time query against the snapshot.
-// It returns ErrTooWide if the job can never run on the cluster.
-func (sn *EstimateSnapshot) EstimateCompletion(j workload.Job) (int64, error) {
+// It returns ErrStaleSnapshot if the cluster changed since the snapshot was
+// taken, and ErrTooWide if the job can never run on the cluster.
+func (sn EstimateSnapshot) EstimateCompletion(j workload.Job) (int64, error) {
+	s := sn.sched
+	if sn.Stale() {
+		return 0, fmt.Errorf("%w: cluster %q changed since time %d", ErrStaleSnapshot, s.spec.Name, sn.now)
+	}
 	ect, ok := sn.TryEstimateCompletion(j)
 	if !ok {
-		s := sn.sched
 		if !s.Fits(j) {
 			return 0, fmt.Errorf("%w: job %d needs %d cores, cluster %q has %d", ErrTooWide, j.ID, j.Procs, s.spec.Name, s.spec.Cores)
 		}
@@ -964,12 +848,13 @@ func (sn *EstimateSnapshot) EstimateCompletion(j workload.Job) (int64, error) {
 }
 
 // TryEstimateCompletion is EstimateCompletion with a boolean instead of an
-// error: ok is false when the job can never run on the cluster. The
-// reallocation sweep issues O(candidates x clusters) estimate queries per
-// pass and treats "cannot run here" as an ordinary outcome, so the error
-// construction of the checked variant — an allocation plus fmt formatting
-// per too-wide pair — was pure overhead on the sweep hot path.
-func (sn *EstimateSnapshot) TryEstimateCompletion(j workload.Job) (int64, bool) {
+// error: ok is false when the snapshot is stale or the job can never run on
+// the cluster. The reallocation sweep issues O(candidates x clusters)
+// estimate queries per pass and treats "cannot run here" as an ordinary
+// outcome, so the error construction of the checked variant — an allocation
+// plus fmt formatting per too-wide pair — was pure overhead on the sweep hot
+// path.
+func (sn EstimateSnapshot) TryEstimateCompletion(j workload.Job) (int64, bool) {
 	return sn.TryEstimateCompletionScaled(j.Procs, sn.sched.scaledWalltime(j))
 }
 
@@ -977,22 +862,22 @@ func (sn *EstimateSnapshot) TryEstimateCompletion(j workload.Job) (int64, bool) 
 // speed — the reservation length every estimate for it here will use. A
 // sweep that refreshes a cluster's estimates once per move caches it
 // instead of repeating the floating-point rescale.
-func (sn *EstimateSnapshot) ScaledWalltime(j workload.Job) int64 {
+func (sn EstimateSnapshot) ScaledWalltime(j workload.Job) int64 {
 	return sn.sched.scaledWalltime(j)
 }
 
 // TryEstimateCompletionScaled is TryEstimateCompletion for a caller that
 // already holds the job's scaled walltime on this cluster. Each call is one
-// slot search on the frozen profile; a caller that asks for many jobs of
-// the same shape (processor count and walltime) asks once per shape.
-func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (int64, bool) {
+// slot search on the plan profile; a caller that asks for many jobs of the
+// same shape (processor count and walltime) asks once per shape.
+func (sn EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (int64, bool) {
 	s := sn.sched
-	if procs > s.spec.Cores {
+	if procs > s.spec.Cores || sn.Stale() {
 		return 0, false
 	}
 	s.ectQueries++
 	s.snapshotHits++
-	start := sn.prof.findSlot(sn.lower, wall, procs)
+	start := s.planProf.findSlot(sn.lower, wall, procs)
 	if start == noSlot {
 		return 0, false
 	}
@@ -1428,10 +1313,8 @@ func (s *Scheduler) CheckProfileConsistency() error {
 // rebuildPlan recomputes the planned start and completion of every waiting
 // job, according to the local policy, on top of the incrementally maintained
 // running-jobs profile. The waiting slice is kept in submission (seq) order
-// by construction, so planning needs no sort. The plan is built into a
-// double-buffered scratch profile — the previous published profile, unless
-// a snapshot still references it — so steady-state re-planning allocates
-// nothing.
+// by construction, so planning needs no sort. The plan is built in place
+// over the published profile, so steady-state re-planning allocates nothing.
 func (s *Scheduler) rebuildPlan() {
 	s.planRebuilds++
 	s.ensureRunProfile()
@@ -1441,7 +1324,7 @@ func (s *Scheduler) rebuildPlan() {
 				s.spec.Name, s.now, s.runProf.times, s.runProf.free, fresh.times, fresh.free))
 		}
 	}
-	prof := s.takePlanBuffer()
+	prof := s.planProf
 	prof.copyFrom(s.runProf)
 	// Planning k jobs inserts at most 2k breakpoints; growing once up front
 	// replaces the log-many append doublings mid-plan.
@@ -1473,14 +1356,7 @@ func (s *Scheduler) rebuildPlan() {
 	// estimates; prevStart is the latest planned start (or now when the
 	// queue is empty), which is exactly the FCFS lower bound for a
 	// hypothetical extra job. Planning visited every waiting job, so the
-	// earliest planned start falls out of the same loop. An unreferenced old
-	// profile is banked immediately; a referenced one is banked when its
-	// last snapshot releases it.
-	old := s.planProf
-	s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	if old != nil && old.refs == 0 {
-		s.bankPlanBuffer(old)
-	}
+	// earliest planned start falls out of the same loop.
 	s.maxPlannedStart = prevStart
 	s.nextStart = next
 	s.planVersion++

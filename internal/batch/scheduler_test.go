@@ -3,6 +3,7 @@ package batch
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -693,5 +694,59 @@ func TestSnapshot(t *testing.T) {
 	}
 	if snap.Running[0].JobID != 1 || snap.Waiting[0].JobID != 2 {
 		t.Fatalf("snapshot content = %+v", snap)
+	}
+}
+
+// TestCheckInvariantsRejectsCorruption corrupts one piece of scheduler
+// state at a time and requires the consistency checkers the property tests
+// and the fuzz oracle rely on to report it. The fixture is a 4-core FCFS
+// cluster with one full-width job running over [0,100) and three 1-core
+// jobs planned over [100,200).
+func TestCheckInvariantsRejectsCorruption(t *testing.T) {
+	build := func() *Scheduler {
+		s := newTestScheduler(t, 4, 1.0, FCFS)
+		if err := s.Submit(job(1, 0, 100, 100, 4), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		collect(t, s, 0)
+		for id := 2; id <= 4; id++ {
+			if err := s.Submit(job(id, 0, 100, 100, 1), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("clean fixture: %v", err)
+		}
+		return s
+	}
+	cases := []struct {
+		want    string
+		corrupt func(s *Scheduler)
+	}{
+		{"index out of sync", func(s *Scheduler) { delete(s.waitingByID, 3) }},
+		{"running index misses", func(s *Scheduler) {
+			a := *s.running[0]
+			s.runningByID[1] = &a
+		}},
+		{"running over-subscription", func(s *Scheduler) { s.running[0].job.Procs = 5 }},
+		{"waiting index misses", func(s *Scheduler) {
+			e := *s.waiting[0]
+			s.waitingByID[2] = &e
+		}},
+		{"before now", func(s *Scheduler) { s.waiting[0].plannedStart = -1 }},
+		{"empty planned window", func(s *Scheduler) { s.waiting[0].plannedEnd = s.waiting[0].plannedStart }},
+		{"planned over-subscription", func(s *Scheduler) { s.waiting[0].plannedStart = 50 }},
+		{"FCFS order violated", func(s *Scheduler) { s.waiting[1].plannedStart, s.waiting[1].plannedEnd = 200, 300 }},
+		{"queue order corrupted", func(s *Scheduler) { s.waiting[1].seq = s.waiting[0].seq }},
+		{"incremental run profile diverged", func(s *Scheduler) { s.runProf.free[len(s.runProf.free)-1]-- }},
+		{"plan diverged on", func(s *Scheduler) { s.waiting[2].plannedStart, s.waiting[2].plannedEnd = 150, 250 }},
+		{"FCFS lower bound diverged", func(s *Scheduler) { s.maxPlannedStart = 999 }},
+	}
+	for _, c := range cases {
+		s := build()
+		c.corrupt(s)
+		if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CheckInvariants = %v, want an error containing %q", err, c.want)
+		}
 	}
 }

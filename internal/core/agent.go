@@ -78,17 +78,15 @@ type ReallocConfig struct {
 	// DefaultMinGain. Algorithm 2 ignores it.
 	MinGain int64
 	// SweepWorkers bounds the worker pool this run's reallocation sweeps fan
-	// per-cluster work over; 0 uses the process-wide default
-	// (SetSweepParallelism). 1 forces the sequential path. Parallel and
-	// sequential sweeps are bit-identical, so this is a performance knob and
-	// the lever determinism checks flip; a per-run value lets concurrent
-	// simulations (the fuzz harness) use different settings without racing
-	// on the process-wide ones.
+	// per-cluster work over; 0 uses GOMAXPROCS and 1 forces the sequential
+	// path. Parallel and sequential sweeps are bit-identical, so this is a
+	// performance knob and the lever determinism checks flip; being per run,
+	// concurrent simulations (the fuzz harness) can use different settings.
 	SweepWorkers int
 	// SweepThreshold is the minimum work (queued jobs, or (shape, cluster)
-	// queries) a sweep stage must hold before it fans out; 0 uses the
-	// process-wide default (SetSweepParallelThreshold). Tests and the fuzz
-	// harness set 1 to force the parallel path onto small fixtures.
+	// queries) a sweep stage must hold before it fans out; 0 uses the tuned
+	// default of 2048. Tests and the fuzz harness set 1 to force the
+	// parallel path onto small fixtures.
 	SweepThreshold int
 }
 
@@ -379,10 +377,10 @@ type shapeColumn struct {
 }
 
 // sweep is the estimation state of one reallocation pass. Candidates are
-// grouped by shape, and each cluster keeps one snapshot and one column of
-// ECTs over the shapes: a pass over k distinct shapes on m clusters costs
-// k*m slot searches up front, and a placement or move re-queries only the
-// touched clusters' columns, once per shape that still has candidates.
+// grouped by shape, and each cluster keeps one column of ECTs over the
+// shapes: a pass over k distinct shapes on m clusters costs k*m slot
+// searches up front, and a placement or move re-queries only the touched
+// clusters' columns, once per shape that still has candidates.
 // Only the estimates that read a changed answer are rebuilt. The storage
 // lives on the Agent and is reused by every pass.
 type sweep struct {
@@ -391,8 +389,6 @@ type sweep struct {
 	// cancelled marks an Algorithm 2 pass: no candidate is queued anywhere,
 	// so its origin cluster answers like any other.
 	cancelled bool
-	//gridlint:cluster-indexed
-	snaps []batch.EstimateSnapshot // one per cluster, refreshed in place
 	//gridlint:cluster-indexed
 	cols []shapeColumn
 	//gridlint:cluster-indexed
@@ -459,9 +455,6 @@ func (a *Agent) newSweep(now int64, cands []Candidate, origins []int, cancelled 
 	clear(sw.changed)
 
 	m := len(a.servers)
-	// Snapshots carried over from earlier passes still hold references on
-	// plan profiles; resized keeps them so the refresh below releases them.
-	sw.snaps = resized(sw.snaps, m)
 	sw.cols = resized(sw.cols, m)
 	sw.errs = resized(sw.errs, m)
 	a.forEachCluster(m, len(sw.jobs)*m, func(idx int) {
@@ -480,31 +473,24 @@ func (a *Agent) newSweep(now int64, cands []Candidate, origins []int, cancelled 
 
 // fillColumn snapshots one cluster and answers every shape on it.
 func (sw *sweep) fillColumn(idx int) error {
-	if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
+	sn, err := sw.a.servers[idx].EstimateSnapshot(sw.now)
+	if err != nil {
 		return err
 	}
 	col := &sw.cols[idx]
 	col.ects = resized(col.ects, len(sw.jobs))
 	col.walls = resized(col.walls, len(sw.jobs))
 	for s, j := range sw.jobs {
-		col.walls[s] = sw.snaps[idx].ScaledWalltime(j)
-		col.ects[s] = sw.query(idx, s)
+		col.walls[s] = sn.ScaledWalltime(j)
+		col.ects[s] = sw.query(sn, idx, s)
 	}
 	return nil
 }
 
 // query answers one (shape, cluster) ECT from the cluster's snapshot,
-// returning NoEstimate when the shape can never run there. A snapshot whose
-// plan changed under it — which only happens when a capacity event fires at
-// the sweep instant, as the sweep itself refreshes the clusters it mutates —
-// is re-taken first, so estimates never reflect capacity the cluster lost.
-func (sw *sweep) query(idx, s int) int64 {
-	if sw.snaps[idx].Stale() {
-		if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
-			return NoEstimate
-		}
-	}
-	ect, ok := sw.snaps[idx].TryEstimateCompletionScaled(sw.jobs[s].Procs, sw.cols[idx].walls[s])
+// returning NoEstimate when the shape can never run there.
+func (sw *sweep) query(sn batch.EstimateSnapshot, idx, s int) int64 {
+	ect, ok := sn.TryEstimateCompletionScaled(sw.jobs[s].Procs, sw.cols[idx].walls[s])
 	if !ok {
 		return NoEstimate
 	}
@@ -515,7 +501,8 @@ func (sw *sweep) query(idx, s int) int64 {
 // re-queries its column for every shape that still has candidates, marking
 // the shapes whose answer moved.
 func (sw *sweep) refreshCluster(idx int) error {
-	if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
+	sn, err := sw.a.servers[idx].EstimateSnapshot(sw.now)
+	if err != nil {
 		return fmt.Errorf("core: snapshotting %s: %w", sw.a.servers[idx].Name(), err)
 	}
 	col := &sw.cols[idx]
@@ -523,7 +510,7 @@ func (sw *sweep) refreshCluster(idx int) error {
 		if n == 0 {
 			continue
 		}
-		if ect := sw.query(idx, s); ect != col.ects[s] {
+		if ect := sw.query(sn, idx, s); ect != col.ects[s] {
 			col.ects[s] = ect
 			sw.changed[s] = true
 		}

@@ -114,9 +114,6 @@ const (
 	DirStateful       = "stateful"
 	DirWorker         = "worker"
 	DirClusterIndexed = "cluster-indexed"
-	DirRefAcquire     = "ref-acquire"
-	DirRefRelease     = "ref-release"
-	DirRefTransferred = "ref-transferred"
 )
 
 // KnownDirectives is the complete set of directive words the suite
@@ -133,9 +130,6 @@ var KnownDirectives = map[string]bool{
 	DirStateful:       true,
 	DirWorker:         true,
 	DirClusterIndexed: true,
-	DirRefAcquire:     true,
-	DirRefRelease:     true,
-	DirRefTransferred: true,
 }
 
 // SuppressionDirectives are the directives that silence another analyzer's
@@ -145,7 +139,6 @@ var SuppressionDirectives = []string{
 	DirKeepAcrossRst,
 	DirAllowRetain,
 	DirUnorderedOK,
-	DirRefTransferred,
 }
 
 // CountSuppressions tallies, per directive word, how many suppression
@@ -265,7 +258,6 @@ func Analyzers() []*Analyzer {
 		PoolLife,
 		Determinism,
 		SweepOwner,
-		RefBalance,
 	}
 }
 

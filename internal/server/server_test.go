@@ -97,7 +97,7 @@ func TestEstimateSnapshotForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The detached snapshot must agree with the live estimate.
+	// The snapshot must agree with the live estimate.
 	live, ok := s.EstimateCompletion(job(1, 100, 600, 4), 0)
 	if !ok {
 		t.Fatal("live estimate failed on an empty cluster")
