@@ -1061,35 +1061,6 @@ func TestBenchSmokeAgainstBaseline(t *testing.T) {
 	}
 }
 
-// BenchmarkHeuristicSelection measures one heuristic selection step over
-// candidate sets of increasing size.
-func BenchmarkHeuristicSelection(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		n := n
-		cands := make([]core.Candidate, n)
-		ests := make([]core.Estimate, n)
-		for i := range cands {
-			cands[i] = core.Candidate{
-				Job:       workload.Job{ID: i + 1, Submit: int64(i), Runtime: 100, Walltime: 300, Procs: 1 + i%16},
-				OriginECT: int64(1000 + i*7%911),
-			}
-			ests[i] = core.Estimate{
-				BestECT:      int64(500 + i*13%701),
-				SecondECT:    int64(900 + i*17%501),
-				BestOtherECT: int64(600 + i*11%401),
-			}
-		}
-		for _, h := range core.Heuristics() {
-			h := h
-			b.Run(fmt.Sprintf("%s_n%d", h.Name(), n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = h.Select(cands, ests)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkReallocationPass measures one full reallocation pass (Algorithm 1
 // and Algorithm 2) over a loaded two-cluster platform.
 func BenchmarkReallocationPass(b *testing.B) {

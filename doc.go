@@ -60,10 +60,17 @@
 // sweep is shape-indexed: it groups the candidates of a pass by shape
 // (processor count and walltime), takes one availability snapshot per
 // cluster and keeps one ECT column per cluster over the shapes, so a pass
-// costs one slot search per (shape, cluster) up front. After a placement or
-// move only the touched clusters' columns are re-queried, once per shape
-// that still has candidates, and only the estimates that read a changed
-// answer are rebuilt. A from-scratch reference
+// costs one slot search per (shape, cluster) up front. Each shape keeps its
+// three lowest (ECT, cluster) answers, from which a candidate's Estimate
+// follows in O(1). A heuristic is a score over a core.View (the job's
+// shape, its completion time on its origin and its Estimate); the pass
+// handles the highest score first, ties going to the earliest submission
+// and then the smallest job ID. Candidates the heuristic cannot tell apart
+// share one score: under Algorithm 2 those of one (shape, origin) pair,
+// under Algorithm 1 each queued job alone, so a pick compares one head per
+// group. After a placement or move only the touched clusters' columns are
+// re-queried, once per shape that still has candidates, and only the groups
+// that read a moved answer are rescored. A from-scratch reference
 // implementation remains available behind the explicit invalidation hooks;
 // GRIDREALLOC_DEBUG_PROFILE=1 cross-checks the incremental state against it
 // on every re-plan. BENCH_batch.json is the committed baseline of the hot

@@ -21,27 +21,14 @@ import (
 	"gridrealloc/internal/workload"
 )
 
-// widestFirst orders candidates by decreasing processor count, breaking ties
-// by submission order and then job ID. The pick must not depend on the
-// order of the candidates (see core.Heuristic), so the tie-break is a total
-// order.
+// widestFirst scores a candidate by its processor count. The reallocation
+// pass handles the highest score first and breaks ties by submission order
+// and then job ID, so equally wide jobs keep their submission order.
 type widestFirst struct{}
 
 func (widestFirst) Name() string { return "WidestFirst" }
 
-func (widestFirst) Select(cands []core.Candidate, _ []core.Estimate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		c, b := cands[i].Job, cands[best].Job
-		switch {
-		case c.Procs > b.Procs:
-			best = i
-		case c.Procs == b.Procs && (c.Submit < b.Submit || c.Submit == b.Submit && c.ID < b.ID):
-			best = i
-		}
-	}
-	return best
-}
+func (widestFirst) Score(v core.View) float64 { return float64(v.Procs) }
 
 func main() {
 	trace, err := workload.Scenario("apr", 0.05, 99)

@@ -643,17 +643,15 @@ func (p *profile) findSlotFrom(hint int, earliest, duration int64, procs int) (i
 			hint = ff
 		}
 	}
-	if hint < 0 || hint >= len(p.times) || p.times[hint] > earliest {
-		hint = 0
-	}
 	start := earliest
-	// The segment containing start, found within times[hint:] — the cursor
-	// caller has already established times[hint] <= start. Local slice
-	// headers let the compiler drop bounds checks in the scan loops.
+	// The segment containing start, found from the cursor: one comparison
+	// when the hint is that segment, a search within times[hint:] otherwise.
+	idx := p.segmentIndexFrom(hint, start)
+	// Local slice headers let the compiler drop bounds checks in the scan
+	// loops.
 	times, free := p.times, p.free
 	bmax, bmin := p.bmax, p.bmin
 	n := len(times)
-	idx := hint + sort.Search(n-hint, func(i int) bool { return times[hint+i] > start }) - 1
 	for {
 		// Advance start until the current segment has enough cores.
 		for idx < n && free[idx] < procs {

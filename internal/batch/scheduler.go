@@ -799,6 +799,7 @@ type EstimateSnapshot struct {
 	sched   *Scheduler
 	now     int64
 	lower   int64
+	seg     int // the plan segment containing lower, where every query starts
 	version uint64
 }
 
@@ -814,7 +815,8 @@ func (s *Scheduler) EstimateSnapshot(now int64) (EstimateSnapshot, error) {
 	if s.policy == FCFS && s.maxPlannedStart > lower {
 		lower = s.maxPlannedStart
 	}
-	return EstimateSnapshot{sched: s, now: now, lower: lower, version: s.planVersion}, nil
+	seg := s.planProf.segmentIndexFrom(0, lower)
+	return EstimateSnapshot{sched: s, now: now, lower: lower, seg: seg, version: s.planVersion}, nil
 }
 
 // Cluster returns the name of the cluster the snapshot was taken from.
@@ -825,8 +827,11 @@ func (sn EstimateSnapshot) Time() int64 { return sn.now }
 
 // Stale reports whether the cluster's plan has changed since the snapshot
 // was taken. A stale snapshot answers no queries; take a new one.
-func (sn EstimateSnapshot) Stale() bool {
-	return sn.sched.planDirty || sn.sched.planVersion != sn.version
+func (sn EstimateSnapshot) Stale() bool { return sn.sched.planChangedSince(sn.version) }
+
+// planChangedSince reports whether the plan moved since version was read.
+func (s *Scheduler) planChangedSince(version uint64) bool {
+	return s.planDirty || s.planVersion != version
 }
 
 // EstimateCompletion answers the completion-time query against the snapshot.
@@ -872,12 +877,14 @@ func (sn EstimateSnapshot) ScaledWalltime(j workload.Job) int64 {
 // same shape (processor count and walltime) asks once per shape.
 func (sn EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (int64, bool) {
 	s := sn.sched
-	if procs > s.spec.Cores || sn.Stale() {
+	// The stale check reads the fields directly: calling Stale would copy
+	// the snapshot on this hot path.
+	if procs > s.spec.Cores || s.planChangedSince(sn.version) {
 		return 0, false
 	}
 	s.ectQueries++
 	s.snapshotHits++
-	start := s.planProf.findSlot(sn.lower, wall, procs)
+	start, _ := s.planProf.findSlotFrom(sn.seg, sn.lower, wall, procs)
 	if start == noSlot {
 		return 0, false
 	}

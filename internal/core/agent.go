@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"gridrealloc/internal/batch"
 	"gridrealloc/internal/server"
@@ -133,19 +133,18 @@ type Agent struct {
 	gatherVersion []uint64 //gridlint:keep-across-reset stale versions are inert while gatherValid is false
 	//gridlint:cluster-indexed
 	gatherValid []bool
-	sorter      candidateOrderSorter //gridlint:keep-across-reset stateless sort scratch
 
 	// Scratch buffers reused across reallocation passes, so a pass's
-	// bookkeeping (candidate gathering, the shape tables, the estimates)
+	// bookkeeping (candidate gathering, the shape tables, the groups)
 	// allocates only when the platform outgrows every previous pass.
 	//gridlint:cluster-indexed
-	scratchWaiting       [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
-	scratchCands         []Candidate          //gridlint:keep-across-reset capacity only, truncated before use
-	scratchOrigins       []int                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchSortedCands   []Candidate          //gridlint:keep-across-reset capacity only, truncated before use
-	scratchSortedOrigins []int                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchOrder         []int                //gridlint:keep-across-reset capacity only, truncated before use
-	sw                   sweep                //gridlint:keep-across-reset capacity only, rebuilt by newSweep at every pass
+	scratchWaiting [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
+	scratchCands   []candidate          //gridlint:keep-across-reset capacity only, truncated before use
+	sw             sweep                //gridlint:keep-across-reset capacity only, rebuilt by newSweep at every pass
+
+	// onPick, when set, sees every pick of a reallocation pass before the
+	// pass acts on it: tests record the order and change the platform there.
+	onPick func(candidate)
 }
 
 // NewAgent builds an agent over the given servers. Mapping defaults to MCT
@@ -177,6 +176,7 @@ func (a *Agent) reset(servers []*server.Server, mapping MappingPolicy, realloc R
 	a.reallocationEvents = 0
 	a.skippedRaces = 0
 	a.skippedSweeps = 0
+	a.onPick = nil
 	for i := range a.gatherValid {
 		a.gatherValid[i] = false
 	}
@@ -266,21 +266,19 @@ func (a *Agent) Reallocate(now int64) (int, error) {
 	}
 }
 
-// gatherCandidates snapshots the waiting queues of every cluster. Listing a
-// queue forces that cluster's deferred re-plan, so the per-cluster listings
-// are fanned over the sweep worker pool when the platform is loaded enough
-// to pay for it; the per-cluster slices are then merged in platform order,
-// keeping the result identical to the sequential gather. Clusters whose
-// scheduler state version did not move since the last gather are not
-// re-listed at all: the cached view is provably bit-for-bit what a fresh
-// listing would return (no mutation means no membership change and no plan
-// change), which is the dirty-cluster half of the sweep-skipping
-// optimisation.
+// gatherCandidates lists the waiting jobs of every cluster in (submission
+// time, job ID) order. Listing a queue forces that cluster's deferred
+// re-plan, so the listings are fanned over the sweep worker pool when the
+// platform is loaded enough to pay for it. Clusters whose scheduler state
+// version did not move since the last gather are not re-listed at all: the
+// cached view is provably bit-for-bit what a fresh listing would return (no
+// mutation means no membership change and no plan change), which is the
+// dirty-cluster half of the sweep-skipping optimisation.
 //
 // total is the summed WaitingCount the caller (Reallocate) already computed
 // for the empty-sweep skip; sharing it keeps the skip decision and the
 // gather's sizing in agreement.
-func (a *Agent) gatherCandidates(total int) ([]Candidate, []int) {
+func (a *Agent) gatherCandidates(total int) []candidate {
 	if cap(a.scratchWaiting) < len(a.servers) {
 		a.scratchWaiting = make([][]batch.WaitingJob, len(a.servers))
 		a.gatherVersion = make([]uint64, len(a.servers))
@@ -300,65 +298,20 @@ func (a *Agent) gatherCandidates(total int) ([]Candidate, []int) {
 	})
 	cands := a.scratchCands[:0]
 	if cap(cands) < total {
-		cands = make([]Candidate, 0, total)
+		cands = make([]candidate, 0, total)
 	}
-	origins := a.scratchOrigins[:0]
-	if cap(origins) < total {
-		origins = make([]int, 0, total)
-	}
-	for idx, s := range a.servers {
+	for idx := range a.servers {
 		for _, w := range perCluster[idx] {
-			cands = append(cands, Candidate{
-				Job:           w.Job,
-				OriginCluster: s.Name(),
-				OriginECT:     w.PlannedEnd,
-				Reallocations: w.Reallocations,
-			})
-			origins = append(origins, idx)
+			cands = append(cands, candidate{Job: w.Job, OriginECT: w.PlannedEnd, Reallocations: w.Reallocations, origin: idx})
 		}
 	}
 	// Deterministic processing order regardless of server iteration:
-	// submission time then job ID. The sort permutes both slices through an
-	// index order so candidates and origins stay aligned; the persistent
-	// sorter spares the closure and header allocations sort.SliceStable
-	// would pay on every pass.
-	order := a.scratchOrder[:0]
-	for i := range cands {
-		order = append(order, i)
-	}
-	a.sorter.order, a.sorter.cands = order, cands
-	sort.Stable(&a.sorter)
-	a.sorter.cands = nil
-	a.scratchOrder = order
-	if cap(a.scratchSortedCands) < len(cands) {
-		a.scratchSortedCands = make([]Candidate, len(cands))
-		a.scratchSortedOrigins = make([]int, len(cands))
-	}
-	sortedCands := a.scratchSortedCands[:len(cands)]
-	sortedOrigins := a.scratchSortedOrigins[:len(cands)]
-	for i, o := range order {
-		sortedCands[i] = cands[o]
-		sortedOrigins[i] = origins[o]
-	}
+	// submission time then job ID, a total order since job IDs are unique.
+	slices.SortFunc(cands, func(x, y candidate) int {
+		return cmp.Or(cmp.Compare(x.Job.Submit, y.Job.Submit), cmp.Compare(x.Job.ID, y.Job.ID))
+	})
 	a.scratchCands = cands
-	a.scratchOrigins = origins
-	return sortedCands, sortedOrigins
-}
-
-// candidateOrderSorter stable-sorts the gather's index permutation by
-// (submission time, job ID). It lives on the agent so the per-pass sort
-// allocates nothing.
-type candidateOrderSorter struct {
-	order []int
-	cands []Candidate
-}
-
-func (s *candidateOrderSorter) Len() int { return len(s.order) }
-func (s *candidateOrderSorter) Less(x, y int) bool {
-	return submitsBefore(s.cands[s.order[x]].Job, s.cands[s.order[y]].Job)
-}
-func (s *candidateOrderSorter) Swap(x, y int) {
-	s.order[x], s.order[y] = s.order[y], s.order[x]
+	return cands
 }
 
 // shapeKey identifies a job shape. Candidates with the same processor count
@@ -376,13 +329,32 @@ type shapeColumn struct {
 	walls []int64 // per shape: the scaled walltime on this cluster
 }
 
-// sweep is the estimation state of one reallocation pass. Candidates are
-// grouped by shape, and each cluster keeps one column of ECTs over the
-// shapes: a pass over k distinct shapes on m clusters costs k*m slot
-// searches up front, and a placement or move re-queries only the touched
-// clusters' columns, once per shape that still has candidates.
-// Only the estimates that read a changed answer are rebuilt. The storage
-// lives on the Agent and is reused by every pass.
+// answer is one cluster's ECT for a shape.
+type answer struct {
+	ect     int64
+	cluster int
+}
+
+// group is a set of candidates the heuristic cannot tell apart, so one view
+// and one score stand for all of them. Its members are linked in candidate
+// order through sweep.next.
+type group struct {
+	head, tail    int // first unhandled and last member; head < 0 once all are handled
+	shape, origin int
+	view          View
+	score         float64
+}
+
+// sweep is the estimation and selection state of one reallocation pass.
+// Candidates are grouped by shape, and each cluster keeps one column of
+// ECTs over the shapes: k shapes on m clusters cost k*m slot searches up
+// front, and a placement or move re-queries only the touched clusters'
+// columns, once per shape that still has candidates. A shape's three lowest
+// answers give any of its candidates' Estimate in O(1). Selection runs over
+// groups — a (shape, origin) pair under Algorithm 2, one candidate under
+// Algorithm 1, where each queued job has its own planned completion — so a
+// pick compares one head per group, and only the groups that read a moved
+// answer are rescored. The storage lives on the Agent, reused by every pass.
 type sweep struct {
 	a   *Agent
 	now int64
@@ -397,15 +369,17 @@ type sweep struct {
 	ids     map[shapeKey]int
 	jobs    []workload.Job // per shape: its first candidate's job
 	live    []int          // per shape: candidates not yet handled
-	changed []bool         // per shape: an answer moved in the last refresh
+	top     [][3]answer    // per shape: the three lowest answers by (ECT, cluster)
+	byShape [][]int        // per shape: its groups
+	shapes  []int          // the shapes that may still have candidates
+	moved   []int          // the shapes whose answer moved since the last settle
 
-	// The remaining candidates with their origin cluster, shape and
-	// estimate. A handled candidate is swap-removed, which reorders the
-	// rest; every Heuristic picks the same job under any order.
-	cands   []Candidate
-	origins []int
-	shape   []int
-	ests    []Estimate
+	cands    []candidate    // in (submission time, job ID) order
+	next     []int          // per candidate: the next member of its group, or -1
+	gids     map[[2]int]int // Algorithm 2: the group of each (shape, origin)
+	groups   []group
+	active   []int   // the groups with unhandled members
+	byOrigin [][]int // per cluster: the Algorithm 1 groups queued there
 }
 
 // resized returns s with length n, keeping its contents (including any
@@ -417,42 +391,50 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// newSweep groups the candidates by shape, snapshots every cluster, fills
-// its column and builds every estimate. The per-cluster work — one snapshot
-// plus that cluster's column — is fanned over the bounded worker pool on
-// sweeps large enough to pay for it. Each worker touches exactly one
-// cluster's scheduler and writes only its own column and error slot, so the
-// merged result is bit-identical to the sequential sweep regardless of
-// scheduling order; errors are surfaced in platform order for the same
-// reason.
-func (a *Agent) newSweep(now int64, cands []Candidate, origins []int, cancelled bool) (*sweep, error) {
+// newSweep groups the candidates by shape and into selection groups,
+// snapshots every cluster, fills its column and scores every group. The
+// per-cluster work — one snapshot plus that cluster's column — is fanned
+// over the bounded worker pool on sweeps large enough to pay for it. Each
+// worker touches exactly one cluster's scheduler and writes only its own
+// column and error slot, so the merged result is bit-identical to the
+// sequential sweep regardless of scheduling order; errors are surfaced in
+// platform order for the same reason.
+func (a *Agent) newSweep(now int64, cands []candidate, cancelled bool) (*sweep, error) {
 	sw := &a.sw
-	sw.a, sw.now, sw.cancelled = a, now, cancelled
-	sw.cands, sw.origins = cands, origins
+	sw.a, sw.now, sw.cancelled, sw.cands = a, now, cancelled, cands
 	if sw.ids == nil {
 		sw.ids = make(map[shapeKey]int, len(cands))
+		sw.gids = make(map[[2]int]int, len(cands))
 	}
 	clear(sw.ids)
-	// A pass has at most one shape per candidate; sizing every table for
-	// that keeps the appends below from reallocating.
+	clear(sw.gids)
+	// A pass has at most one shape and one group per candidate; sizing
+	// every table for that keeps the appends below from reallocating.
 	sw.jobs = slices.Grow(sw.jobs[:0], len(cands))
 	sw.live = slices.Grow(sw.live[:0], len(cands))
-	sw.shape = resized(sw.shape, len(cands))
-	sw.ests = resized(sw.ests, len(cands))
+	sw.groups = slices.Grow(sw.groups[:0], len(cands))
+	sw.next = resized(sw.next, len(cands))
 	for i, c := range cands {
 		k := shapeKey{c.Job.Procs, c.Job.Walltime}
-		id, ok := sw.ids[k]
+		s, ok := sw.ids[k]
 		if !ok {
-			id = len(sw.jobs)
-			sw.ids[k] = id
+			s = len(sw.jobs)
+			sw.ids[k] = s
 			sw.jobs = append(sw.jobs, c.Job)
 			sw.live = append(sw.live, 0)
 		}
-		sw.live[id]++
-		sw.shape[i] = id
+		sw.live[s]++
+		sw.next[i] = -1
+		if cancelled {
+			if g, ok := sw.gids[[2]int{s, c.origin}]; ok {
+				sw.next[sw.groups[g].tail], sw.groups[g].tail = i, i
+				continue
+			}
+			sw.gids[[2]int{s, c.origin}] = len(sw.groups)
+		}
+		sw.groups = append(sw.groups, group{head: i, tail: i, shape: s, origin: c.origin,
+			view: View{Procs: c.Job.Procs, Walltime: c.Job.Walltime, OriginECT: c.OriginECT}})
 	}
-	sw.changed = resized(sw.changed, len(sw.jobs))
-	clear(sw.changed)
 
 	m := len(a.servers)
 	sw.cols = resized(sw.cols, m)
@@ -465,8 +447,27 @@ func (a *Agent) newSweep(now int64, cands []Candidate, origins []int, cancelled 
 			return nil, fmt.Errorf("core: snapshotting %s: %w", a.servers[idx].Name(), err)
 		}
 	}
-	for i := range cands {
-		sw.estimate(i)
+	sw.top = resized(sw.top, len(sw.jobs))
+	sw.byShape = resized(sw.byShape, len(sw.jobs))
+	sw.shapes, sw.moved = sw.shapes[:0], sw.moved[:0]
+	for s := range sw.jobs {
+		sw.rank(s)
+		sw.byShape[s] = sw.byShape[s][:0]
+		sw.shapes = append(sw.shapes, s)
+	}
+	sw.byOrigin = resized(sw.byOrigin, m)
+	for idx := range sw.byOrigin {
+		sw.byOrigin[idx] = sw.byOrigin[idx][:0]
+	}
+	sw.active = sw.active[:0]
+	for g := range sw.groups {
+		grp := &sw.groups[g]
+		sw.byShape[grp.shape] = append(sw.byShape[grp.shape], g)
+		if !cancelled {
+			sw.byOrigin[grp.origin] = append(sw.byOrigin[grp.origin], g)
+		}
+		sw.active = append(sw.active, g)
+		sw.rescore(grp)
 	}
 	return sw, nil
 }
@@ -498,7 +499,7 @@ func (sw *sweep) query(sn batch.EstimateSnapshot, idx, s int) int64 {
 }
 
 // refreshCluster re-snapshots one cluster whose queue just changed and
-// re-queries its column for every shape that still has candidates, marking
+// re-queries its column for every shape that still has candidates, noting
 // the shapes whose answer moved.
 func (sw *sweep) refreshCluster(idx int) error {
 	sn, err := sw.a.servers[idx].EstimateSnapshot(sw.now)
@@ -506,96 +507,158 @@ func (sw *sweep) refreshCluster(idx int) error {
 		return fmt.Errorf("core: snapshotting %s: %w", sw.a.servers[idx].Name(), err)
 	}
 	col := &sw.cols[idx]
-	for s, n := range sw.live {
-		if n == 0 {
+	kept := sw.shapes[:0]
+	for _, s := range sw.shapes {
+		if sw.live[s] == 0 {
 			continue
 		}
+		kept = append(kept, s)
 		if ect := sw.query(sn, idx, s); ect != col.ects[s] {
 			col.ects[s] = ect
-			sw.changed[s] = true
+			sw.moved = append(sw.moved, s)
 		}
+	}
+	sw.shapes = kept
+	return nil
+}
+
+// settle refreshes the clusters a placement (x == y) or a move touched, if
+// candidates remain, and rescores the groups of the shapes whose answer
+// moved and, while the jobs are still queued (Algorithm 1), those queued on
+// x or y, whose planned completion may have moved.
+func (sw *sweep) settle(x, y int) error {
+	if len(sw.active) == 0 {
+		return nil
+	}
+	if err := sw.refreshCluster(x); err != nil {
+		return err
+	}
+	if y != x {
+		if err := sw.refreshCluster(y); err != nil {
+			return err
+		}
+	}
+	// A shape both clusters moved is listed twice; rescoring is idempotent.
+	for _, s := range sw.moved {
+		sw.rank(s)
+		sw.rescoreLive(sw.byShape[s], -1)
+	}
+	sw.moved = sw.moved[:0]
+	if !sw.cancelled {
+		sw.rescoreLive(sw.byOrigin[x], x)
+		sw.rescoreLive(sw.byOrigin[y], y)
 	}
 	return nil
 }
 
-// settle rebuilds the estimates that a refresh of clusters x and y made
-// stale: those of candidates whose shape's answer moved and, while the
-// jobs are still queued (Algorithm 1), those queued on x or y, whose
-// planned completion may have moved. Every other estimate reads only
-// unchanged answers.
-func (sw *sweep) settle(x, y int) {
-	for i := range sw.cands {
-		if o := sw.origins[i]; !sw.cancelled && (o == x || o == y) {
-			if ect, err := sw.a.servers[o].CurrentCompletion(sw.cands[i].Job.ID); err == nil {
-				sw.cands[i].OriginECT = ect
-			}
-		} else if !sw.changed[sw.shape[i]] {
+// rescoreLive rescores the groups in gs that still have members. With
+// origin >= 0 they are queued there and first re-read their job's planned
+// completion.
+func (sw *sweep) rescoreLive(gs []int, origin int) {
+	for _, g := range gs {
+		grp := &sw.groups[g]
+		if grp.head < 0 {
 			continue
 		}
-		sw.estimate(i)
+		if origin >= 0 {
+			if ect, err := sw.a.servers[origin].CurrentCompletion(sw.cands[grp.head].Job.ID); err == nil {
+				grp.view.OriginECT = ect
+			}
+		}
+		sw.rescore(grp)
 	}
-	clear(sw.changed)
 }
 
-// remove swap-deletes handled candidate i in O(1).
-func (sw *sweep) remove(i int) {
-	sw.live[sw.shape[i]]--
-	last := len(sw.cands) - 1
-	sw.cands[i], sw.origins[i], sw.shape[i], sw.ests[i] = sw.cands[last], sw.origins[last], sw.shape[last], sw.ests[last]
-	sw.cands, sw.origins, sw.shape, sw.ests = sw.cands[:last], sw.origins[:last], sw.shape[:last], sw.ests[:last]
+// rank recomputes shape s's three lowest answers over the platform. A
+// strict comparison in platform order leaves ties with the lowest cluster
+// index.
+func (sw *sweep) rank(s int) {
+	top := [3]answer{{NoEstimate, -1}, {NoEstimate, -1}, {NoEstimate, -1}}
+	for idx := range sw.cols {
+		x := answer{sw.cols[idx].ects[s], idx}
+		if x.ect >= top[2].ect {
+			continue
+		}
+		i := 2
+		for ; i > 0 && x.ect < top[i-1].ect; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = x
+	}
+	sw.top[s] = top
 }
 
-// estimate rebuilds candidate i's Estimate from its shape's answers. In a
-// cancelled pass the origin answers like any other cluster and that answer
-// becomes OriginECT; otherwise the origin contributes OriginECT, the job's
-// current planned completion.
-func (sw *sweep) estimate(i int) {
-	c, s, origin := &sw.cands[i], sw.shape[i], sw.origins[i]
+// rescore rebuilds a group's Estimate and scores it. The origin answers its
+// view's OriginECT (a cancelled pass's column answer); the shape's three
+// lowest answers follow in (ECT, cluster) order and hold the two lowest
+// others. Ties go to the lowest cluster index; NoEstimate never ranks.
+func (sw *sweep) rescore(grp *group) {
 	if sw.cancelled {
-		c.OriginECT = sw.cols[origin].ects[s]
+		grp.view.OriginECT = sw.cols[grp.origin].ects[grp.shape]
 	}
 	est := Estimate{BestECT: NoEstimate, BestCluster: -1, SecondECT: NoEstimate, BestOtherECT: NoEstimate, BestOtherCluster: -1}
-	for idx := range sw.cols {
-		ect := sw.cols[idx].ects[s]
-		if idx == origin {
-			ect = c.OriginECT
-		}
-		if ect == NoEstimate {
-			continue
-		}
-		if ect < est.BestECT {
+	put := func(ect int64, idx int) {
+		if ect < est.BestECT || ect == est.BestECT && idx < est.BestCluster {
 			est.SecondECT = est.BestECT
 			est.BestECT, est.BestCluster = ect, idx
 		} else if ect < est.SecondECT {
 			est.SecondECT = ect
 		}
-		if idx != origin && ect < est.BestOtherECT {
+		if idx != grp.origin && ect < est.BestOtherECT {
 			est.BestOtherECT, est.BestOtherCluster = ect, idx
 		}
 	}
-	sw.ests[i] = est
+	put(grp.view.OriginECT, grp.origin)
+	for _, x := range sw.top[grp.shape] {
+		if x.cluster != grp.origin {
+			put(x.ect, x.cluster)
+		}
+	}
+	grp.view.Estimate = est
+	grp.score = sw.a.realloc.Heuristic.Score(grp.view)
+}
+
+// pick hands out the next candidate with its view: the head of the group
+// with the highest score, ties going to the earlier candidate (submission
+// time, then job ID), which no later member of its group can beat.
+func (sw *sweep) pick() (candidate, View) {
+	best := 0
+	for k := 1; k < len(sw.active); k++ {
+		g, b := &sw.groups[sw.active[k]], &sw.groups[sw.active[best]]
+		if g.score > b.score || g.score == b.score && g.head < b.head {
+			best = k
+		}
+	}
+	grp := &sw.groups[sw.active[best]]
+	c, view := sw.cands[grp.head], grp.view
+	sw.live[grp.shape]--
+	if grp.head = sw.next[grp.head]; grp.head < 0 {
+		sw.active = slices.Delete(sw.active, best, best+1)
+	}
+	if sw.a.onPick != nil {
+		sw.a.onPick(c)
+	}
+	return c, view
 }
 
 // reallocateWithoutCancellation implements Algorithm 1 of the paper.
 func (a *Agent) reallocateWithoutCancellation(now int64, totalWaiting int) (int, error) {
-	cands, origins := a.gatherCandidates(totalWaiting)
+	cands := a.gatherCandidates(totalWaiting)
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	sw, err := a.newSweep(now, cands, origins, false)
+	sw, err := a.newSweep(now, cands, false)
 	if err != nil {
 		return 0, err
 	}
 	moves := 0
-	for len(sw.cands) > 0 {
-		pick := a.realloc.Heuristic.Select(sw.cands, sw.ests)
-		c, origin, est := sw.cands[pick], sw.origins[pick], sw.ests[pick]
-		sw.remove(pick)
-		if est.BestOtherECT == NoEstimate || est.BestOtherECT+a.realloc.MinGain >= c.OriginECT {
+	for len(sw.active) > 0 {
+		c, v := sw.pick()
+		if v.BestOtherECT == NoEstimate || v.BestOtherECT+a.realloc.MinGain >= v.OriginECT {
 			continue
 		}
-		dest := est.BestOtherCluster
-		switch err := a.moveJob(c, origin, dest, now); {
+		dest := v.BestOtherCluster
+		switch err := a.moveJob(c, dest, now); {
 		case err == nil:
 			moves++
 		case errors.Is(err, batch.ErrJobRunning):
@@ -607,18 +670,11 @@ func (a *Agent) reallocateWithoutCancellation(now int64, totalWaiting int) (int,
 			return moves, err
 		}
 		// A migration changes exactly two clusters' queues: refresh their
-		// columns and the estimates that read them. When nothing moved,
-		// the platform state is unchanged and everything stays valid.
-		if len(sw.cands) == 0 {
-			break
-		}
-		if err := sw.refreshCluster(origin); err != nil {
+		// columns and the groups that read them. When nothing moved, the
+		// platform state is unchanged and everything stays valid.
+		if err := sw.settle(c.origin, dest); err != nil {
 			return moves, err
 		}
-		if err := sw.refreshCluster(dest); err != nil {
-			return moves, err
-		}
-		sw.settle(origin, dest)
 	}
 	return moves, nil
 }
@@ -627,7 +683,8 @@ func (a *Agent) reallocateWithoutCancellation(now int64, totalWaiting int) (int,
 // destination cluster, preserving and incrementing its reallocation count.
 // A batch.ErrJobRunning from the cancellation is passed through unwrapped in
 // meaning (via errors.Is) so the caller can skip the candidate.
-func (a *Agent) moveJob(c Candidate, origin, destIdx int, now int64) error {
+func (a *Agent) moveJob(c candidate, destIdx int, now int64) error {
+	origin := c.origin
 	job, migrated, err := a.servers[origin].Cancel(c.Job.ID, now)
 	if err != nil {
 		return fmt.Errorf("core: cancelling job %d on %s: %w", c.Job.ID, a.servers[origin].Name(), err)
@@ -649,49 +706,40 @@ func (a *Agent) moveJob(c Candidate, origin, destIdx int, now int64) error {
 // waiting jobs everywhere, then re-place them one at a time in heuristic
 // order on the cluster with the minimum estimated completion time.
 func (a *Agent) reallocateWithCancellation(now int64, totalWaiting int) (int, error) {
-	cands, origins := a.gatherCandidates(totalWaiting)
-	if len(cands) == 0 {
-		return 0, nil
-	}
+	cands := a.gatherCandidates(totalWaiting)
 	// Cancel every waiting job. A job that started since the queue snapshot
 	// is skipped (it is no longer reallocatable), not a fatal error.
-	keptC := cands[:0]
-	keptO := origins[:0]
-	for i, c := range cands {
-		job, migrated, err := a.servers[origins[i]].Cancel(c.Job.ID, now)
+	kept := cands[:0]
+	for _, c := range cands {
+		job, migrated, err := a.servers[c.origin].Cancel(c.Job.ID, now)
 		if errors.Is(err, batch.ErrJobRunning) {
 			a.skippedRaces++
 			continue
 		}
 		if err != nil {
-			return 0, fmt.Errorf("core: cancelling job %d on %s: %w", c.Job.ID, a.servers[origins[i]].Name(), err)
+			return 0, fmt.Errorf("core: cancelling job %d on %s: %w", c.Job.ID, a.servers[c.origin].Name(), err)
 		}
-		c.Job = job
-		c.Reallocations = migrated
-		keptC = append(keptC, c)
-		keptO = append(keptO, origins[i])
+		c.Job, c.Reallocations = job, migrated
+		kept = append(kept, c)
 	}
-	cands, origins = keptC, keptO
-	if len(cands) == 0 {
+	if len(kept) == 0 {
 		return 0, nil
 	}
 	// Snapshot the emptied queues once; each placement below changes exactly
 	// one cluster, whose column is then refreshed.
-	sw, err := a.newSweep(now, cands, origins, true)
+	sw, err := a.newSweep(now, kept, true)
 	if err != nil {
 		return 0, err
 	}
 	moves := 0
-	for len(sw.cands) > 0 {
-		pick := a.realloc.Heuristic.Select(sw.cands, sw.ests)
-		c, origin, est := sw.cands[pick], sw.origins[pick], sw.ests[pick]
-		sw.remove(pick)
-		dest := origin
-		if est.BestECT != NoEstimate {
-			dest = est.BestCluster
+	for len(sw.active) > 0 {
+		c, v := sw.pick()
+		dest := c.origin
+		if v.BestECT != NoEstimate {
+			dest = v.BestCluster
 		}
 		migrated := c.Reallocations
-		if dest != origin {
+		if dest != c.origin {
 			migrated++
 			moves++
 			a.totalReallocations++
@@ -700,11 +748,8 @@ func (a *Agent) reallocateWithCancellation(now int64, totalWaiting int) (int, er
 			return moves, fmt.Errorf("core: resubmitting job %d to %s: %w", c.Job.ID, a.servers[dest].Name(), err)
 		}
 		a.location[c.Job.ID] = dest
-		if len(sw.cands) > 0 {
-			if err := sw.refreshCluster(dest); err != nil {
-				return moves, err
-			}
-			sw.settle(dest, dest)
+		if err := sw.settle(dest, dest); err != nil {
+			return moves, err
 		}
 	}
 	return moves, nil

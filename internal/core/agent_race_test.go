@@ -15,23 +15,6 @@ import (
 	"gridrealloc/internal/workload"
 )
 
-// raceHeuristic wraps an inner heuristic and fires a callback with the
-// picked candidate before returning it, giving the test a window to mutate
-// the platform mid-sweep exactly like a concurrent job start would.
-type raceHeuristic struct {
-	inner Heuristic
-	fire  func(pick Candidate)
-}
-
-func (h raceHeuristic) Name() string { return h.inner.Name() }
-func (h raceHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	pick := h.inner.Select(cands, ests)
-	if h.fire != nil {
-		h.fire(cands[pick])
-	}
-	return pick
-}
-
 // raceServers builds a busy origin whose blocker finishes early (so the
 // waiting candidate is pulled forward and started the moment time advances)
 // and an idle destination that offers a much better estimate.
@@ -65,23 +48,21 @@ func TestReallocationSkipsCancelStartRace(t *testing.T) {
 	servers := []*server.Server{origin, idle}
 	agent, err := NewAgent(servers, MCTMapping(), ReallocConfig{
 		Algorithm: WithoutCancellation,
-		Heuristic: raceHeuristic{
-			inner: MCT(),
-			fire: func(pick Candidate) {
-				// Simulate the race: the blocker's early finish is observed
-				// and the candidate starts, after the sweep snapshotted the
-				// queue but before the agent cancels.
-				if pick.Job.ID == 2 {
-					if _, err := origin.Scheduler().Advance(50); err != nil {
-						t.Fatal(err)
-					}
-				}
-			},
-		},
-		MinGain: 1,
+		Heuristic: MCT(),
+		MinGain:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	agent.onPick = func(pick candidate) {
+		// Simulate the race: the blocker's early finish is observed and the
+		// candidate starts, after the sweep snapshotted the queue but
+		// before the agent cancels.
+		if pick.Job.ID == 2 {
+			if _, err := origin.Scheduler().Advance(50); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	moves, err := agent.Reallocate(50)
 	if err != nil {
@@ -116,7 +97,7 @@ func TestMoveJobReportsRunningRace(t *testing.T) {
 	if _, err := origin.Scheduler().Advance(50); err != nil {
 		t.Fatal(err)
 	}
-	moveErr := agent.moveJob(Candidate{Job: workload.Job{ID: 2, Submit: 0, Runtime: 100, Walltime: 100, Procs: 1}}, 0, 1, 50)
+	moveErr := agent.moveJob(candidate{Job: workload.Job{ID: 2, Submit: 0, Runtime: 100, Walltime: 100, Procs: 1}, origin: 0}, 1, 50)
 	if !errors.Is(moveErr, batch.ErrJobRunning) {
 		t.Fatalf("moveJob err = %v, want batch.ErrJobRunning", moveErr)
 	}

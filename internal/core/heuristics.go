@@ -13,24 +13,20 @@ import (
 	"gridrealloc/internal/workload"
 )
 
-// Candidate is a waiting job considered for reallocation.
-type Candidate struct {
+// candidate is a waiting job considered for reallocation.
+type candidate struct {
 	// Job is the job itself (reference-speed runtime and walltime).
 	Job workload.Job
-	// OriginCluster is the name of the cluster currently (or, under the
-	// cancellation algorithm, previously) holding the job.
-	OriginCluster string
-	// OriginECT is the job's estimated completion time on its origin
-	// cluster: its planned completion when it is still queued there, or the
-	// hypothetical completion time of resubmitting it there after the
-	// cancellation algorithm emptied the queues.
+	// OriginECT is the job's planned completion time on the cluster queueing
+	// it when the pass gathered it.
 	OriginECT int64
 	// Reallocations is the number of times the job has already been moved.
 	Reallocations int
+	origin        int // platform index of the cluster the pass found it on
 }
 
-// Estimate carries the per-candidate completion-time estimates a heuristic
-// may use to order the candidates. All times are absolute virtual times.
+// Estimate carries the completion-time estimates of a candidate over the
+// platform. All times are absolute virtual times.
 type Estimate struct {
 	// BestECT is the smallest estimated completion time across all clusters
 	// (including the origin cluster's own estimate).
@@ -55,17 +51,6 @@ type Estimate struct {
 // the job).
 const NoEstimate int64 = math.MaxInt64
 
-// Gain returns the time the candidate would gain by moving to the best other
-// cluster (OriginECT − BestOtherECT). A negative value means the move would
-// delay the job. It returns (-NoEstimate) when no other cluster can run the
-// job, so gain-ordered heuristics push such jobs last.
-func (e Estimate) Gain(c Candidate) int64 {
-	if e.BestOtherECT == NoEstimate {
-		return -NoEstimate
-	}
-	return c.OriginECT - e.BestOtherECT
-}
-
 // Sufferage returns the difference between the two best estimated completion
 // times, the quantity the Sufferage heuristic maximises. It returns 0 when
 // only one cluster can run the job (the job does not suffer from losing a
@@ -77,21 +62,40 @@ func (e Estimate) Sufferage() int64 {
 	return e.SecondECT - e.BestECT
 }
 
-// Heuristic orders the candidates of a reallocation pass.
-//
-// Contract: the job Select picks must not depend on the order of the
-// candidates. Permuting (cands, ests) together must yield the same job, so
-// ties have to be broken by a total order; the heuristics here break them
-// by submission time and then job ID, which the helper pickBest
-// guarantees. The reallocation sweep relies on this: it removes a handled
-// candidate by moving the last one into its slot.
+// View is what a heuristic sees of a candidate: its shape, its completion
+// time on its origin cluster and its estimates over the platform.
+type View struct {
+	// The job's processor count and reference walltime.
+	Procs    int
+	Walltime int64
+	// OriginECT is the job's estimated completion time on its origin
+	// cluster: its planned completion while queued there or, under the
+	// cancellation algorithm, that of resubmitting it there.
+	OriginECT int64
+	Estimate
+}
+
+// Gain returns the time the candidate would gain by moving to the best other
+// cluster (OriginECT − BestOtherECT). A negative value means the move would
+// delay the job. It returns (-NoEstimate) when no other cluster can run the
+// job, so gain-ordered heuristics push such jobs last.
+func (v View) Gain() int64 {
+	if v.BestOtherECT == NoEstimate {
+		return -NoEstimate
+	}
+	return v.OriginECT - v.BestOtherECT
+}
+
+// Heuristic orders the candidates of a reallocation pass. The pass handles
+// the candidate with the highest score first and breaks ties by earliest
+// submission time, then smallest job ID, so a heuristic is fully described
+// by the score it gives each View.
 type Heuristic interface {
 	// Name returns the identifier used in the paper's tables ("Mct",
 	// "MinMin", ...).
 	Name() string
-	// Select returns the index (into cands) of the candidate to handle
-	// next. Both slices have the same length and are non-empty.
-	Select(cands []Candidate, ests []Estimate) int
+	// Score rates a candidate; the highest score is handled next.
+	Score(v View) float64
 }
 
 // The six heuristics of Section 2.2.2.
@@ -137,74 +141,24 @@ func (maxGainHeuristic) Name() string    { return "MaxGain" }
 func (maxRelGainHeuristic) Name() string { return "MaxRelGain" }
 func (sufferageHeuristic) Name() string  { return "Sufferage" }
 
-// pickBest returns the index of the candidate with the highest score;
-// ties are broken by earliest submission time, then smallest job ID, so that
-// every heuristic is fully deterministic.
-func pickBest(cands []Candidate, score func(i int) float64) int {
-	best := 0
-	bestScore := score(0)
-	for i := 1; i < len(cands); i++ {
-		s := score(i)
-		switch {
-		case s > bestScore:
-			best, bestScore = i, s
-		case s == bestScore:
-			if submitsBefore(cands[i].Job, cands[best].Job) {
-				best = i
-			}
-		}
+// MCT scores every candidate alike, so the tie-break alone orders them.
+func (mctHeuristic) Score(View) float64 { return 0 }
+
+func (minMinHeuristic) Score(v View) float64 { return -float64(v.BestECT) }
+
+func (maxMinHeuristic) Score(v View) float64 {
+	if v.BestECT == NoEstimate {
+		// A job no cluster can estimate should not win "largest ECT".
+		return -math.MaxFloat64
 	}
-	return best
+	return float64(v.BestECT)
 }
 
-func submitsBefore(a, b workload.Job) bool {
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
-	}
-	return a.ID < b.ID
-}
+func (maxGainHeuristic) Score(v View) float64 { return float64(v.Gain()) }
 
-func (mctHeuristic) Select(cands []Candidate, _ []Estimate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if submitsBefore(cands[i].Job, cands[best].Job) {
-			best = i
-		}
-	}
-	return best
-}
+func (maxRelGainHeuristic) Score(v View) float64 { return float64(v.Gain()) / float64(max(v.Procs, 1)) }
 
-func (minMinHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 { return -float64(ests[i].BestECT) })
-}
-
-func (maxMinHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 {
-		if ests[i].BestECT == NoEstimate {
-			// A job no cluster can estimate should not win "largest ECT".
-			return -math.MaxFloat64
-		}
-		return float64(ests[i].BestECT)
-	})
-}
-
-func (maxGainHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 { return float64(ests[i].Gain(cands[i])) })
-}
-
-func (maxRelGainHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 {
-		procs := cands[i].Job.Procs
-		if procs <= 0 {
-			procs = 1
-		}
-		return float64(ests[i].Gain(cands[i])) / float64(procs)
-	})
-}
-
-func (sufferageHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 { return float64(ests[i].Sufferage()) })
-}
+func (sufferageHeuristic) Score(v View) float64 { return float64(v.Sufferage()) }
 
 // Heuristics returns the six heuristics in the order of the paper's tables:
 // MCT, MinMin, MaxMin, MaxGain, MaxRelGain, Sufferage.

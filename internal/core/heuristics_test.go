@@ -1,18 +1,15 @@
 package core
 
 import (
-	"math/rand"
+	"math"
+	"slices"
 	"testing"
 
+	"gridrealloc/internal/batch"
+	"gridrealloc/internal/platform"
+	"gridrealloc/internal/server"
 	"gridrealloc/internal/workload"
 )
-
-func cand(id int, submit int64, procs int, originECT int64) Candidate {
-	return Candidate{
-		Job:       workload.Job{ID: id, Submit: submit, Runtime: 100, Walltime: 200, Procs: procs},
-		OriginECT: originECT,
-	}
-}
 
 func TestHeuristicsListAndNames(t *testing.T) {
 	hs := Heuristics()
@@ -36,137 +33,155 @@ func TestHeuristicsListAndNames(t *testing.T) {
 	}
 }
 
+// TestMCTSelectsSubmissionOrder checks that MCT scores every view alike, so
+// a pass handles the candidates in submission order, then by job ID.
 func TestMCTSelectsSubmissionOrder(t *testing.T) {
-	cands := []Candidate{
-		cand(3, 300, 1, 0),
-		cand(1, 100, 1, 0),
-		cand(2, 200, 1, 0),
+	views := []View{
+		{Procs: 1, OriginECT: 900, Estimate: Estimate{BestECT: 100, SecondECT: 800, BestOtherECT: 100}},
+		{Procs: 64, OriginECT: 50, Estimate: Estimate{BestECT: NoEstimate, SecondECT: NoEstimate, BestOtherECT: NoEstimate}},
 	}
-	if got := MCT().Select(cands, make([]Estimate, 3)); got != 1 {
-		t.Fatalf("MCT selected index %d, want 1 (earliest submission)", got)
+	if a, b := MCT().Score(views[0]), MCT().Score(views[1]); a != b {
+		t.Fatalf("MCT scores differ: %v vs %v", a, b)
 	}
-	// Ties on submission time break by job ID.
-	cands = []Candidate{cand(9, 100, 1, 0), cand(4, 100, 1, 0)}
-	if got := MCT().Select(cands, make([]Estimate, 2)); got != 1 {
-		t.Fatalf("MCT tie-break selected %d, want 1 (smaller ID)", got)
+	s, err := server.New(platform.ClusterSpec{Name: "only", Cores: 1, Speed: 1}, batch.FCFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []workload.Job{
+		{ID: 9, Submit: 100, Runtime: 10, Walltime: 20, Procs: 1},
+		{ID: 3, Submit: 300, Runtime: 10, Walltime: 20, Procs: 1},
+		{ID: 4, Submit: 100, Runtime: 10, Walltime: 50, Procs: 1},
+		{ID: 1, Submit: 200, Runtime: 10, Walltime: 20, Procs: 1},
+	} {
+		if err := s.Submit(j, 400, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agent, err := NewAgent([]*server.Server{s}, MCTMapping(), ReallocConfig{Algorithm: WithCancellation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var picks []int
+	agent.onPick = func(c candidate) { picks = append(picks, c.Job.ID) }
+	if _, err := agent.Reallocate(400); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 9, 1, 3}; !slices.Equal(picks, want) {
+		t.Fatalf("MCT picked %v, want %v (submission time, then job ID)", picks, want)
 	}
 }
 
 func TestMinMinAndMaxMin(t *testing.T) {
-	cands := []Candidate{cand(1, 10, 1, 0), cand(2, 20, 1, 0), cand(3, 30, 1, 0)}
-	ests := []Estimate{
-		{BestECT: 500},
-		{BestECT: 100},
-		{BestECT: 900},
+	small := View{Estimate: Estimate{BestECT: 100}}
+	large := View{Estimate: Estimate{BestECT: 900}}
+	if MinMin().Score(small) <= MinMin().Score(large) {
+		t.Fatal("MinMin must prefer the smallest best ECT")
 	}
-	if got := MinMin().Select(cands, ests); got != 1 {
-		t.Fatalf("MinMin selected %d, want 1 (smallest best ECT)", got)
+	if MaxMin().Score(large) <= MaxMin().Score(small) {
+		t.Fatal("MaxMin must prefer the largest best ECT")
 	}
-	if got := MaxMin().Select(cands, ests); got != 2 {
-		t.Fatalf("MaxMin selected %d, want 2 (largest best ECT)", got)
-	}
-	// MaxMin must not pick a candidate with no estimate at all.
-	ests[2].BestECT = NoEstimate
-	if got := MaxMin().Select(cands, ests); got != 0 {
-		t.Fatalf("MaxMin selected %d, want 0 when candidate 2 has no estimate", got)
+	// MaxMin must not prefer a candidate with no estimate at all.
+	none := View{Estimate: Estimate{BestECT: NoEstimate}}
+	if got := MaxMin().Score(none); got != -math.MaxFloat64 {
+		t.Fatalf("MaxMin score without an estimate = %v, want the lowest float", got)
 	}
 }
 
 func TestMaxGainAndRelGain(t *testing.T) {
-	cands := []Candidate{
-		cand(1, 10, 1, 1000), // gain 400
-		cand(2, 20, 8, 2000), // gain 1200 but 8 procs -> rel 150
-		cand(3, 30, 1, 500),  // gain 300
+	narrow := View{Procs: 1, OriginECT: 1000, Estimate: Estimate{BestOtherECT: 600, BestOtherCluster: 1}} // gain 400
+	wide := View{Procs: 8, OriginECT: 2000, Estimate: Estimate{BestOtherECT: 800, BestOtherCluster: 1}}   // gain 1200, 150 per proc
+	if narrow.Gain() != 400 || wide.Gain() != 1200 {
+		t.Fatalf("gains = %d, %d; want 400, 1200", narrow.Gain(), wide.Gain())
 	}
-	ests := []Estimate{
-		{BestOtherECT: 600, BestOtherCluster: 1},
-		{BestOtherECT: 800, BestOtherCluster: 1},
-		{BestOtherECT: 200, BestOtherCluster: 1},
+	if MaxGain().Score(wide) != 1200 || MaxGain().Score(narrow) != 400 {
+		t.Fatal("MaxGain must score the absolute gain")
 	}
-	if got := MaxGain().Select(cands, ests); got != 1 {
-		t.Fatalf("MaxGain selected %d, want 1 (absolute gain 1200)", got)
+	if MaxRelGain().Score(wide) != 150 || MaxRelGain().Score(narrow) != 400 {
+		t.Fatal("MaxRelGain must score the gain per processor")
 	}
-	if got := MaxRelGain().Select(cands, ests); got != 0 {
-		t.Fatalf("MaxRelGain selected %d, want 0 (gain per processor 400)", got)
+	// A non-positive processor count counts as one processor.
+	zero := narrow
+	zero.Procs = 0
+	if got := MaxRelGain().Score(zero); got != 400 {
+		t.Fatalf("MaxRelGain with 0 procs = %v, want 400", got)
 	}
 }
 
 func TestGainWithNoOtherCluster(t *testing.T) {
-	c := cand(1, 10, 2, 1000)
-	e := Estimate{BestOtherECT: NoEstimate}
-	if g := e.Gain(c); g != -NoEstimate {
+	stuck := View{Procs: 2, OriginECT: 1000, Estimate: Estimate{BestOtherECT: NoEstimate}}
+	if g := stuck.Gain(); g != -NoEstimate {
 		t.Fatalf("gain without another cluster = %d, want the sentinel minimum", g)
 	}
-	// Such a candidate must lose against any candidate with a real gain.
-	cands := []Candidate{c, cand(2, 20, 1, 700)}
-	ests := []Estimate{e, {BestOtherECT: 650, BestOtherCluster: 1}}
-	if got := MaxGain().Select(cands, ests); got != 1 {
-		t.Fatalf("MaxGain selected the unmovable candidate")
+	// Such a candidate must score below any candidate with a real gain, even
+	// a negative one.
+	late := View{Procs: 1, OriginECT: 700, Estimate: Estimate{BestOtherECT: 5000, BestOtherCluster: 1}}
+	for _, h := range []Heuristic{MaxGain(), MaxRelGain()} {
+		if h.Score(stuck) >= h.Score(late) {
+			t.Fatalf("%s scores the unmovable candidate at or above a movable one", h.Name())
+		}
 	}
 }
 
 func TestSufferage(t *testing.T) {
-	cands := []Candidate{cand(1, 10, 1, 0), cand(2, 20, 1, 0), cand(3, 30, 1, 0)}
-	ests := []Estimate{
-		{BestECT: 100, SecondECT: 150}, // sufferage 50
-		{BestECT: 200, SecondECT: 900}, // sufferage 700
-		{BestECT: 300, SecondECT: NoEstimate},
+	mild := View{Estimate: Estimate{BestECT: 100, SecondECT: 150}}
+	severe := View{Estimate: Estimate{BestECT: 200, SecondECT: 900}}
+	single := View{Estimate: Estimate{BestECT: 300, SecondECT: NoEstimate}}
+	if Sufferage().Score(severe) != 700 || Sufferage().Score(mild) != 50 {
+		t.Fatal("Sufferage must score the gap between the two best ECTs")
 	}
-	if got := Sufferage().Select(cands, ests); got != 1 {
-		t.Fatalf("Sufferage selected %d, want 1", got)
-	}
-	if s := ests[2].Sufferage(); s != 0 {
+	if s := single.Sufferage(); s != 0 {
 		t.Fatalf("sufferage with a single option = %d, want 0", s)
 	}
 }
 
-func TestPickBestTieBreaksBySubmission(t *testing.T) {
-	// Equal scores: the earliest-submitted candidate must win regardless of
-	// slice order so that reallocation passes are deterministic.
-	cands := []Candidate{cand(5, 500, 1, 0), cand(2, 100, 1, 0), cand(3, 300, 1, 0)}
-	ests := []Estimate{{BestECT: 100}, {BestECT: 100}, {BestECT: 100}}
-	if got := MinMin().Select(cands, ests); got != 1 {
-		t.Fatalf("tie-break selected %d, want 1 (earliest submission)", got)
+// TestSweepTieBreaksBySubmission checks the pass's selection rule on
+// hand-scored groups over candidates in gather order (submission time, then
+// job ID): the highest score wins, equal scores go to the earlier
+// candidate, and the order of the active groups does not matter.
+func TestSweepTieBreaksBySubmission(t *testing.T) {
+	jobs := []workload.Job{
+		{ID: 2, Submit: 100}, {ID: 3, Submit: 100}, {ID: 1, Submit: 300}, {ID: 5, Submit: 500}, {ID: 7, Submit: 900},
+	}
+	scores := []float64{1, 2, 1, 2, 3}
+	want := []int{7, 3, 5, 2, 1}
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 4, 0, 3, 1}} {
+		sw := &sweep{a: &Agent{}, live: []int{len(jobs)}}
+		for i, j := range jobs {
+			sw.cands = append(sw.cands, candidate{Job: j})
+			sw.next = append(sw.next, -1)
+			sw.groups = append(sw.groups, group{head: i, tail: i, score: scores[i]})
+		}
+		sw.active = append(sw.active, order...)
+		var got []int
+		for len(sw.active) > 0 {
+			c, _ := sw.pick()
+			got = append(got, c.Job.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("active order %v: picks %v, want %v", order, got, want)
+		}
 	}
 }
 
+// TestHeuristicsSingleCandidate runs a pass over one waiting job that an
+// idle cluster can finish much earlier: every heuristic, under both
+// algorithms, must pick it once and move it there.
 func TestHeuristicsSingleCandidate(t *testing.T) {
-	cands := []Candidate{cand(1, 10, 4, 900)}
-	ests := []Estimate{{BestECT: 500, SecondECT: 600, BestOtherECT: 500, BestOtherCluster: 1}}
-	for _, h := range Heuristics() {
-		if got := h.Select(cands, ests); got != 0 {
-			t.Fatalf("%s selected %d for a single candidate", h.Name(), got)
-		}
-	}
-}
-
-// TestSelectIgnoresCandidateOrder pins the Heuristic contract the sweep's
-// O(1) swap removal relies on: every heuristic picks the same job under any
-// permutation of (cands, ests). The draws use few distinct values so that
-// scores tie often and the (submit, ID) tie-break decides.
-func TestSelectIgnoresCandidateOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ects := []int64{500, 700, 900, NoEstimate}
-	draw := func() int64 { return ects[rng.Intn(len(ects))] }
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(10)
-		cands := make([]Candidate, n)
-		ests := make([]Estimate, n)
-		for i, id := range rng.Perm(n) {
-			cands[i] = cand(id+1, int64(rng.Intn(3)), 1<<rng.Intn(3), 600+int64(rng.Intn(3))*200)
-			ests[i] = Estimate{BestECT: draw(), SecondECT: draw(), BestOtherECT: draw()}
-		}
+	for _, alg := range []Algorithm{WithoutCancellation, WithCancellation} {
 		for _, h := range Heuristics() {
-			want := cands[h.Select(cands, ests)].Job.ID
-			for p := 0; p < 8; p++ {
-				pc := make([]Candidate, n)
-				pe := make([]Estimate, n)
-				for i, j := range rng.Perm(n) {
-					pc[i], pe[i] = cands[j], ests[j]
-				}
-				if got := pc[h.Select(pc, pe)].Job.ID; got != want {
-					t.Fatalf("trial %d: %s picked job %d, after a permutation job %d", trial, h.Name(), want, got)
-				}
+			origin, idle := raceServers(t)
+			agent, err := NewAgent([]*server.Server{origin, idle}, MCTMapping(), ReallocConfig{Algorithm: alg, Heuristic: h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var picks []int
+			agent.onPick = func(c candidate) { picks = append(picks, c.Job.ID) }
+			moves, err := agent.Reallocate(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moves != 1 || !slices.Equal(picks, []int{2}) || agent.JobCluster(2) != "idle" {
+				t.Fatalf("%v/%s: moves %d, picks %v, job on %q", alg, h.Name(), moves, picks, agent.JobCluster(2))
 			}
 		}
 	}

@@ -19,24 +19,6 @@ import (
 	"gridrealloc/internal/workload"
 )
 
-// recordingHeuristic wraps a heuristic and records the job ID of every
-// pick, in order. A non-nil fire runs before the first pick of a pass.
-type recordingHeuristic struct {
-	inner Heuristic
-	picks *[]int
-	fire  func()
-}
-
-func (h recordingHeuristic) Name() string { return h.inner.Name() }
-func (h recordingHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	if h.fire != nil && len(*h.picks) == 0 {
-		h.fire()
-	}
-	pick := h.inner.Select(cands, ests)
-	*h.picks = append(*h.picks, cands[pick].Job.ID)
-	return pick
-}
-
 // sweepFixture builds three clusters of different sizes and speeds, each
 // with a blocker running from t=0, and nine waiting jobs in three shapes
 // spread over the origins. The 8-processor shape cannot run on "c".
@@ -107,17 +89,20 @@ func clusterHolding(servers []*server.Server, id int) string {
 
 // sweepSequence runs one reallocation pass at each instant and renders
 // every pick as "id>cluster" (where the job sits after the pass), passes
-// separated by " | ". A non-nil fire runs inside each pass, before its
-// first pick.
+// separated by " | ". A non-nil fire runs inside each pass, once its first
+// pick is made and before the pass acts on it.
 func sweepSequence(t *testing.T, servers []*server.Server, alg Algorithm, h Heuristic, fire func(), at ...int64) string {
 	t.Helper()
-	var picks []int
-	agent, err := NewAgent(servers, MCTMapping(), ReallocConfig{
-		Algorithm: alg,
-		Heuristic: recordingHeuristic{inner: h, picks: &picks, fire: fire},
-	})
+	agent, err := NewAgent(servers, MCTMapping(), ReallocConfig{Algorithm: alg, Heuristic: h})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var picks []int
+	agent.onPick = func(c candidate) {
+		if fire != nil && len(picks) == 0 {
+			fire()
+		}
+		picks = append(picks, c.Job.ID)
 	}
 	var passes []string
 	for _, now := range at {

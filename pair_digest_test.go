@@ -17,7 +17,7 @@ import (
 )
 
 // pairDigests holds the first 16 hex digits of each algorithm/heuristic
-// pair's digest, recorded before the heuristics became scores.
+// pair's digest.
 var pairDigests = map[string]string{
 	"realloc/Mct":               "cf2cb2dfebcc3794",
 	"realloc/MinMin":            "edebf614d8578036",
