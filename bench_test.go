@@ -17,6 +17,7 @@ package gridrealloc_test
 // metric so regressions in behaviour (not only in speed) are visible.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -1186,8 +1187,8 @@ func BenchmarkHarnessCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
 			start := nowSeconds()
 			for i := 0; i < b.N; i++ {
-				runner.Stream(seeds, runner.Options{Workers: workers},
-					func(j int, sim *core.Simulator) (struct{}, error) {
+				runner.StreamCtx(context.Background(), seeds, runner.Options{Workers: workers},
+					func(_ context.Context, j int, sim *core.Simulator) (struct{}, error) {
 						spec := harness.Generate(uint64(5000 + j))
 						return struct{}{}, harness.CheckOn(sim, spec)
 					},

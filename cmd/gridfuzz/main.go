@@ -248,8 +248,8 @@ func runFaults(out *cli.ErrWriter, seed uint64, n, faults, parallel int) error {
 	s := report.Stats
 	fmt.Fprintf(out, "fault campaign: %d scenarios, %d injected faults (seed %d): %d panics, %d transients, %d slow, %d poisoned resets\n",
 		report.Scenarios, report.Faulted, seed, report.Panics, report.Transients, report.Slows, report.Poisons)
-	fmt.Fprintf(out, "runner degraded gracefully: %d completed, %d failed, %d panics recovered, %d retries, %d timeouts, %d simulators quarantined\n",
-		s.Completed, s.Failed, s.RecoveredPanics, s.Retries, s.Timeouts, s.DiscardedSims)
+	fmt.Fprintf(out, "runner degraded gracefully: %d completed, %d failed, %d panics recovered, %d retries, %d timeouts\n",
+		s.Completed, s.Failed, s.RecoveredPanics, s.Retries, s.Timeouts)
 	fmt.Fprintln(out, "all fault-tolerance invariants hold")
 	return out.Err()
 }

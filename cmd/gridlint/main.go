@@ -1,5 +1,5 @@
 // Command gridlint runs the gridrealloc invariant analyzers (directives,
-// resetcomplete, stateversion, poollife, determinism, sweepowner — see
+// resetcomplete, poollife, determinism, sweepowner — see
 // internal/lint) over the module and prints one line per diagnostic:
 //
 //	path/to/file.go:line:col: analyzer: message

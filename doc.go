@@ -124,13 +124,11 @@
 //
 // Inside one run, reallocation sweeps skip work that provably cannot change
 // the outcome: a pass with no waiting job anywhere is skipped outright
-// (still counted in ReallocationEvents), a cluster whose scheduler state
-// version did not move since the previous pass is not re-listed (the cached
-// queue view is exact — the version increments on every submission,
-// cancellation, start, early finish, reveal or invalidation), and the
-// shape-indexed sweep answers each job shape once per cluster instead of
-// once per candidate. All three are behaviour-neutral by construction and
-// covered by the digest grids and the fuzz oracle.
+// (still counted in ReallocationEvents), and the shape-indexed sweep answers
+// each job shape once per cluster instead of once per candidate. Every
+// other pass lists every cluster's waiting queue, as the paper's middleware
+// does. Both skips are behaviour-neutral by construction and covered by the
+// digest grids and the fuzz oracle.
 //
 // # Fault model
 //
@@ -240,12 +238,10 @@
 //
 // # Static invariants
 //
-// The runtime contracts above — Reset completeness, state-version
-// observability, pooled-buffer lifetimes, bit-for-bit determinism, sweep
-// ownership — are enforced at the source level by internal/lint, a
-// dependency-free suite of six analyzers following the golang.org/x/tools
-// go/analysis shape. The interprocedural members share a program-wide
-// static call graph (internal/lint/callgraph.go):
+// The runtime contracts above — Reset completeness, pooled-buffer
+// lifetimes, bit-for-bit determinism, sweep ownership — are enforced at the
+// source level by internal/lint, a dependency-free suite of five analyzers
+// following the golang.org/x/tools go/analysis shape:
 //
 //   - directives: validates the //gridlint: control comments themselves —
 //     unknown (typo'd) directive words are rejected, and suppression
@@ -264,16 +260,6 @@
 //     Reset forgets is a pooled-simulator cross-contamination bug the
 //     72-grid digest may not catch.
 //
-//   - stateversion: methods of types carrying a stateVersion counter that
-//     write middleware-observable state (fields marked
-//     //gridlint:observable) must bump the counter on every path — directly,
-//     through a same-receiver method, or through a plain helper function —
-//     or be annotated //gridlint:stateversion-bumped-by-caller. The
-//     directive is verified from the other side too: the call graph is
-//     walked and every static caller of a bumped-by-caller method must
-//     itself bump (or carry the directive). A missed bump silently disables
-//     the dirty-cluster sweep-skipping of the campaign engine.
-//
 //   - poollife: values returned by //gridlint:pooled functions (Advance
 //     notes) must not be retained in struct fields, package
 //     variables or escaping closures without a copy; intentional ownership
@@ -286,7 +272,7 @@
 //     MappingPolicy — the fuzz oracle's first real catch.
 //
 //   - sweepowner: inside worker callbacks passed to //gridlint:worker
-//     functions (core.Agent.forEachCluster, runner.Stream), slices marked
+//     functions (core.Agent.forEachCluster, runner.StreamCtx), slices marked
 //     //gridlint:cluster-indexed may only be indexed by the worker's owned
 //     cluster index (or a value derived from it by plain copy). Cross-slot
 //     reads, whole-slice iteration, and stray indexes reached through

@@ -231,10 +231,10 @@ type Scheduler struct {
 	policy Policy
 	now    int64
 
-	running     []*allocation       //gridlint:observable
-	runningByID map[int]*allocation //gridlint:observable
-	waiting     []*queueEntry       //gridlint:observable always sorted by seq (submission order)
-	waitingByID map[int]*queueEntry //gridlint:observable
+	running     []*allocation
+	runningByID map[int]*allocation
+	waiting     []*queueEntry // always sorted by seq (submission order)
+	waitingByID map[int]*queueEntry
 	seq         int64
 	// frontSeq hands out decreasing sequence numbers for jobs requeued at
 	// the head of the queue after an outage, keeping the waiting slice
@@ -248,7 +248,7 @@ type Scheduler struct {
 	// when virtual time reaches their start.
 	maintenance  []platform.CapacityEvent
 	outages      []platform.CapacityEvent
-	nextOutage   int          //gridlint:observable reveals change the capacity the middleware sees
+	nextOutage   int
 	outagePolicy OutagePolicy //gridlint:keep-across-reset caller configuration, like SetOutagePolicy
 
 	// nextStart is the earliest planned start among waiting jobs (or the
@@ -296,15 +296,6 @@ type Scheduler struct {
 	allocPool sim.Arena[allocation]
 	// spanScratch is reused by the capacity-baseline builds.
 	spanScratch []span //gridlint:keep-across-reset scratch, overwritten before every use
-
-	// stateVersion increments on every mutation that can change what the
-	// middleware observes about this cluster between two reallocation sweeps:
-	// submissions, cancellations, job starts, early finishes (which release
-	// reservation tails), outage reveals and explicit invalidations. The
-	// meta-scheduler's dirty-cluster tracking compares versions to skip
-	// re-gathering queues that provably did not change; plain time advances
-	// do not bump it.
-	stateVersion uint64
 
 	// Request counters, reported by the server layer as system-load metrics.
 	submissions   int64
@@ -402,7 +393,6 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.planDirty = false
 	s.planVersion++
 	s.maxPlannedStart = 0
-	s.stateVersion++
 	s.submissions, s.cancellations, s.ectQueries = 0, 0, 0
 	s.planRebuilds, s.planAppends, s.planReuses = 0, 0, 0
 	s.snapshots, s.snapshotHits, s.runProfRebuilds = 0, 0, 0
@@ -458,15 +448,6 @@ func (s *Scheduler) Policy() Policy { return s.policy }
 
 // Now returns the scheduler's current virtual time.
 func (s *Scheduler) Now() int64 { return s.now }
-
-// StateVersion returns a counter that increments on every mutation that can
-// change what the middleware observes about this cluster: submissions,
-// cancellations, job starts, early finishes, outage reveals and explicit
-// invalidations. Time advances that process no such event leave it
-// untouched. The meta-scheduler's reallocation sweep records it per cluster
-// and skips re-gathering queues whose version did not move — the snapshot it
-// took last pass is provably still exact.
-func (s *Scheduler) StateVersion() uint64 { return s.stateVersion }
 
 // SetDebugCrossCheck toggles the incremental-vs-from-scratch profile
 // cross-check on every plan rebuild (also enabled by the
@@ -594,7 +575,6 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 	sameNow := now == s.now
 	s.now = now
 	s.submissions++
-	s.stateVersion++
 	e := s.newEntry()
 	*e = queueEntry{
 		job:      j,
@@ -686,7 +666,6 @@ func (s *Scheduler) Cancel(jobID int, now int64) (workload.Job, int, error) {
 		return workload.Job{}, 0, fmt.Errorf("%w: job %d on cluster %q", ErrUnknownJob, jobID, s.spec.Name)
 	}
 	s.cancellations++
-	s.stateVersion++
 	delete(s.waitingByID, jobID)
 	// The waiting slice is sorted by seq, so the entry's position is found by
 	// binary search rather than a linear scan.
@@ -1004,7 +983,6 @@ func (s *Scheduler) revealNextOutage(notes []Notification) []Notification {
 		return notes
 	}
 	notes = s.displaceRunning(w, notes)
-	s.stateVersion++
 	if s.runProfValid {
 		s.runProf.trimTo(s.now)
 		if err := s.runProf.reserve(s.now, w.End, s.spec.Cores-w.Cores); err != nil {
@@ -1019,12 +997,6 @@ func (s *Scheduler) revealNextOutage(notes []Notification) []Notification {
 // outage window's capacity, most recently started jobs first (seniority is
 // protected, as on real clusters where a crash takes out the nodes assigned
 // last). Displaced jobs are killed or requeued per the outage policy.
-//
-// Only revealNextOutage calls this, and it bumps stateVersion for the whole
-// reveal (capacity change included), so the displacement writes ride on the
-// caller's bump.
-//
-//gridlint:stateversion-bumped-by-caller
 func (s *Scheduler) displaceRunning(w platform.CapacityEvent, notes []Notification) []Notification {
 	used := 0
 	for _, a := range s.running {
@@ -1112,12 +1084,9 @@ func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 		// A job that ran out its full walltime returns no cores the plan did
 		// not already account for, so the published plan — whose remaining
 		// starts are all at or after t — stays valid; only an early finish
-		// (a released reservation tail) can advance waiting jobs. Exact
-		// finishes equally leave every middleware-visible answer unchanged,
-		// so the state version moves only with the released tail.
+		// (a released reservation tail) can advance waiting jobs.
 		if released {
 			s.planDirty = true
-			s.stateVersion++
 		}
 	}
 	return notes
@@ -1188,9 +1157,6 @@ func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
 	s.nextStart = next
 	if len(notes) > n0 {
 		s.now = t
-		// Started jobs left the waiting queue, so cached queue views are
-		// stale even though the published plan itself is unchanged.
-		s.stateVersion++
 	}
 	return notes
 }
@@ -1202,7 +1168,6 @@ func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
 func (s *Scheduler) InvalidateRunProfile() {
 	s.runProfValid = false
 	s.planDirty = true
-	s.stateVersion++
 }
 
 // InvalidatePlan forces the next observation to re-plan the waiting queue
@@ -1210,7 +1175,6 @@ func (s *Scheduler) InvalidateRunProfile() {
 // benchmarks compare the incremental scheduler against a from-scratch one.
 func (s *Scheduler) InvalidatePlan() {
 	s.planDirty = true
-	s.stateVersion++
 }
 
 // ensurePlan re-plans the waiting queue if any mutation happened since the

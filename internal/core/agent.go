@@ -121,24 +121,11 @@ type Agent struct {
 	skippedRaces       int64
 	skippedSweeps      int64
 
-	// Dirty-cluster tracking between reallocation passes: gatherVersion[i]
-	// is servers[i]'s batch.Scheduler StateVersion at the last gather, and
-	// gatherValid[i] marks the cached queue view in scratchWaiting[i] as
-	// exact. A cluster whose version did not move since the last pass had no
-	// submission, cancellation, start, early finish or capacity reveal, so
-	// its waiting queue and every planned window in it are bit-for-bit what
-	// the last gather copied — the sweep reuses the cached view instead of
-	// re-listing (and re-observing) the queue.
-	//gridlint:cluster-indexed
-	gatherVersion []uint64 //gridlint:keep-across-reset stale versions are inert while gatherValid is false
-	//gridlint:cluster-indexed
-	gatherValid []bool
-
 	// Scratch buffers reused across reallocation passes, so a pass's
 	// bookkeeping (candidate gathering, the shape tables, the groups)
 	// allocates only when the platform outgrows every previous pass.
 	//gridlint:cluster-indexed
-	scratchWaiting [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
+	scratchWaiting [][]batch.WaitingJob //gridlint:keep-across-reset capacity only, refilled by every gather
 	scratchCands   []candidate          //gridlint:keep-across-reset capacity only, truncated before use
 	sw             sweep                //gridlint:keep-across-reset capacity only, rebuilt by newSweep at every pass
 
@@ -158,9 +145,9 @@ func NewAgent(servers []*server.Server, mapping MappingPolicy, realloc ReallocCo
 }
 
 // reset re-points the agent at a server set and configuration, clearing all
-// per-run state (locations, counters, dirty-cluster tracking) while keeping
-// every scratch buffer, so the pooled simulator reuses one agent across
-// thousands of scenarios. A reset agent behaves exactly like a fresh one.
+// per-run state (locations, counters) while keeping every scratch buffer, so
+// the pooled simulator reuses one agent across thousands of scenarios. A
+// reset agent behaves exactly like a fresh one.
 func (a *Agent) reset(servers []*server.Server, mapping MappingPolicy, realloc ReallocConfig) error {
 	if len(servers) == 0 {
 		return errors.New("core: agent needs at least one server")
@@ -177,9 +164,6 @@ func (a *Agent) reset(servers []*server.Server, mapping MappingPolicy, realloc R
 	a.skippedRaces = 0
 	a.skippedSweeps = 0
 	a.onPick = nil
-	for i := range a.gatherValid {
-		a.gatherValid[i] = false
-	}
 	return nil
 }
 
@@ -269,11 +253,7 @@ func (a *Agent) Reallocate(now int64) (int, error) {
 // gatherCandidates lists the waiting jobs of every cluster in (submission
 // time, job ID) order. Listing a queue forces that cluster's deferred
 // re-plan, so the listings are fanned over the sweep worker pool when the
-// platform is loaded enough to pay for it. Clusters whose scheduler state
-// version did not move since the last gather are not re-listed at all: the
-// cached view is provably bit-for-bit what a fresh listing would return (no
-// mutation means no membership change and no plan change), which is the
-// dirty-cluster half of the sweep-skipping optimisation.
+// platform is loaded enough to pay for it.
 //
 // total is the summed WaitingCount the caller (Reallocate) already computed
 // for the empty-sweep skip; sharing it keeps the skip decision and the
@@ -281,20 +261,10 @@ func (a *Agent) Reallocate(now int64) (int, error) {
 func (a *Agent) gatherCandidates(total int) []candidate {
 	if cap(a.scratchWaiting) < len(a.servers) {
 		a.scratchWaiting = make([][]batch.WaitingJob, len(a.servers))
-		a.gatherVersion = make([]uint64, len(a.servers))
-		a.gatherValid = make([]bool, len(a.servers))
 	}
 	perCluster := a.scratchWaiting[:len(a.servers)]
-	versions := a.gatherVersion[:len(a.servers)]
-	valid := a.gatherValid[:len(a.servers)]
 	a.forEachCluster(len(a.servers), total, func(idx int) {
-		v := a.servers[idx].Scheduler().StateVersion()
-		if valid[idx] && versions[idx] == v {
-			return
-		}
 		perCluster[idx] = a.servers[idx].Scheduler().AppendWaitingJobs(perCluster[idx][:0])
-		versions[idx] = v
-		valid[idx] = true
 	})
 	cands := a.scratchCands[:0]
 	if cap(cands) < total {

@@ -161,7 +161,6 @@ func (p *Plan) Expected(maxRetries int) runner.RunStats {
 		switch f := p.faults[i]; f.Kind {
 		case Panic, PoisonReset:
 			out.RecoveredPanics++
-			out.DiscardedSims++
 			out.Failed++
 		case Transient:
 			if f.Failures <= maxRetries {

@@ -75,7 +75,6 @@ func TestExpectedMatchesFaults(t *testing.T) {
 		switch f := p.Fault(i); f.Kind {
 		case Panic, PoisonReset:
 			want.RecoveredPanics++
-			want.DiscardedSims++
 			want.Failed++
 		case Transient:
 			transientRetries += int64(f.Failures)

@@ -21,12 +21,6 @@
 //     //gridlint:keep-across-reset directive. Guards the pooled-reuse
 //     contract "anything added to a scheduler/agent/driver MUST be cleared
 //     in the corresponding reset".
-//   - stateversion: methods of a type with a stateVersion counter that
-//     write a field marked //gridlint:observable must bump stateVersion
-//     (directly or through a callee on the same receiver) or carry
-//     //gridlint:stateversion-bumped-by-caller. Guards the dirty-cluster
-//     sweep-skipping contract "any new mutation path MUST bump
-//     stateVersion".
 //   - poollife: the result of a function marked //gridlint:pooled is only
 //     valid until the provider's documented reuse point; storing it in a
 //     struct field, a global, or a closure without a copy is flagged unless
@@ -106,8 +100,6 @@ const directivePrefix = "gridlint:"
 const (
 	DirResettable     = "resettable"
 	DirKeepAcrossRst  = "keep-across-reset"
-	DirObservable     = "observable"
-	DirBumpedByCaller = "stateversion-bumped-by-caller"
 	DirPooled         = "pooled"
 	DirAllowRetain    = "allow-retain"
 	DirUnorderedOK    = "unordered-ok"
@@ -122,8 +114,6 @@ const (
 var KnownDirectives = map[string]bool{
 	DirResettable:     true,
 	DirKeepAcrossRst:  true,
-	DirObservable:     true,
-	DirBumpedByCaller: true,
 	DirPooled:         true,
 	DirAllowRetain:    true,
 	DirUnorderedOK:    true,
@@ -254,7 +244,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Directives,
 		ResetComplete,
-		StateVersion,
 		PoolLife,
 		Determinism,
 		SweepOwner,

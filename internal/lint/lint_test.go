@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -20,10 +21,6 @@ func fixtureRoot(t *testing.T) string {
 
 func TestResetCompleteFixture(t *testing.T) {
 	RunFixture(t, fixtureRoot(t), []*Analyzer{ResetComplete}, "resetcomplete")
-}
-
-func TestStateVersionFixture(t *testing.T) {
-	RunFixture(t, fixtureRoot(t), []*Analyzer{StateVersion}, "stateversion")
 }
 
 func TestPoolLifeFixture(t *testing.T) {
@@ -218,5 +215,83 @@ func TestLoaderProgramAccessor(t *testing.T) {
 	prog := l.Program()
 	if prog == nil || prog.Packages["determinism"] == nil {
 		t.Fatal("Program() should expose the loaded determinism package")
+	}
+}
+
+// TestCalleeOf checks the static call resolution resetcomplete and
+// sweepowner rely on: every call in the fixture is tagged with the function
+// CalleeOf must resolve it to ("-" for none), and generic instantiations,
+// explicit or inferred, resolve to their origin declaration.
+func TestCalleeOf(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "callee")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := `package callee
+
+import "strings"
+
+type box struct{ n int }
+
+func (b *box) bump()                     { b.n++ }
+func (b *box) fn() func()                { return b.bump }
+func ident[T any](x T) T                 { return x }
+func pair[K comparable, V any](k K, v V) {}
+
+func calls(b *box, f func()) {
+	b.bump()                 // bump
+	_ = ident(1)             // ident
+	_ = ident[int](2)        // ident
+	pair[string, int]("", 1) // pair
+	_ = strings.ToUpper("x") // ToUpper
+	(b.bump)()               // bump
+	f()                      // -
+	b.fn()()                 // -
+	_ = int64(3)             // -
+	_ = len("x")             // -
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := NewLoader(root, "").Load("callee")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	pkg := prog.Packages["callee"]
+	want := make(map[int]string)
+	for _, cg := range pkg.Files[0].Comments {
+		line := prog.Fset.Position(cg.Pos()).Line
+		want[line] = strings.TrimSpace(strings.TrimPrefix(cg.List[0].Text, "//"))
+	}
+	seen := make(map[int]bool)
+	ast.Inspect(pkg.Files[0], func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		// The tag names the outermost call of its line, which the
+		// pre-order walk meets first (b.fn()() before b.fn()).
+		line := prog.Fset.Position(call.Pos()).Line
+		w, tagged := want[line]
+		if !tagged || seen[line] {
+			return true
+		}
+		seen[line] = true
+		got := "-"
+		if fn := CalleeOf(pkg.Info, call); fn != nil {
+			got = fn.Name()
+			if fn.Origin() != fn {
+				t.Errorf("line %d: CalleeOf returned an instance of %s, want its origin", line, got)
+			}
+		}
+		if got != w {
+			t.Errorf("line %d: CalleeOf = %s, want %s", line, got, w)
+		}
+		return true
+	})
+	if len(seen) != len(want) {
+		t.Fatalf("checked %d tagged calls, fixture tags %d", len(seen), len(want))
 	}
 }

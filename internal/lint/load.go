@@ -37,7 +37,6 @@ type Program struct {
 	directives directiveIndex
 	funcDecls  map[*types.Func]*ast.FuncDecl
 	typeDecls  map[*types.TypeName]*typeDecl
-	callgraph  *CallGraph
 }
 
 type typeDecl struct {
@@ -105,6 +104,44 @@ func (p *Program) InfoFor(fn *types.Func) *types.Info {
 		return pkg.Info
 	}
 	return nil
+}
+
+// CalleeOf resolves a call expression to the statically called function, or
+// nil for calls through values, builtins and conversions. Generic
+// instantiations resolve to their origin function, which is where the
+// declaration (and any directives) live.
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.IndexExpr:
+		// Explicitly instantiated generic: f[T](...).
+		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			id = base
+		} else if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
+			id = sel.Sel
+		}
+	case *ast.IndexListExpr:
+		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			id = base
+		} else if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
+			id = sel.Sel
+		}
+	}
+	if id == nil {
+		return nil
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return nil
+	}
+	if origin := fn.Origin(); origin != nil {
+		return origin
+	}
+	return fn
 }
 
 // Loader loads and type-checks packages from source, with no toolchain

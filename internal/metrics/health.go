@@ -43,8 +43,8 @@ func (h Health) Clean() bool { return h.Grade == "clean" }
 func (h Health) Partial() bool { return h.Grade == "degraded" }
 
 // String renders the grade with the non-zero fault counters, e.g.
-// "degraded: 70/72 completed (1 failed, 1 skipped; 1 panic recovered,
-// 1 simulator discarded)". A clean campaign renders as
+// "degraded: 70/72 completed (1 failed, 1 skipped, 1 panic recovered)".
+// A clean campaign renders as
 // "clean: 72/72 completed".
 func (h Health) String() string {
 	s := h.Stats
@@ -66,7 +66,6 @@ func (h Health) String() string {
 	add(s.RecoveredPanics, "panic recovered", "panics recovered")
 	add(s.Retries, "retry", "retries")
 	add(s.Timeouts, "timeout", "timeouts")
-	add(s.DiscardedSims, "simulator discarded", "simulators discarded")
 	if len(parts) > 0 {
 		fmt.Fprintf(&b, " (%s)", strings.Join(parts, ", "))
 	}

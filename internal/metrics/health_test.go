@@ -14,7 +14,7 @@ func TestHealthOfGrades(t *testing.T) {
 	}{
 		{"clean", runner.RunStats{Tasks: 72, Completed: 72}, "clean"},
 		{"recovered-retries", runner.RunStats{Tasks: 72, Completed: 72, Retries: 3}, "recovered"},
-		{"degraded-failed", runner.RunStats{Tasks: 72, Completed: 70, Failed: 2, RecoveredPanics: 2, DiscardedSims: 2}, "degraded"},
+		{"degraded-failed", runner.RunStats{Tasks: 72, Completed: 70, Failed: 2, RecoveredPanics: 2}, "degraded"},
 		{"degraded-skipped", runner.RunStats{Tasks: 72, Completed: 10, Skipped: 62}, "degraded"},
 	}
 	for _, tc := range cases {
@@ -38,9 +38,9 @@ func TestHealthString(t *testing.T) {
 	}
 	h := HealthOf(runner.RunStats{
 		Tasks: 72, Completed: 70, Failed: 1, Skipped: 1,
-		RecoveredPanics: 1, Retries: 2, Timeouts: 1, DiscardedSims: 1,
+		RecoveredPanics: 1, Retries: 2, Timeouts: 1,
 	})
-	want := "degraded: 70/72 completed (1 failed, 1 skipped, 1 panic recovered, 2 retries, 1 timeout, 1 simulator discarded)"
+	want := "degraded: 70/72 completed (1 failed, 1 skipped, 1 panic recovered, 2 retries, 1 timeout)"
 	if got := h.String(); got != want {
 		t.Errorf("degraded:\n got %q\nwant %q", got, want)
 	}

@@ -20,7 +20,7 @@ import (
 // per CPU), not reach the pool construction as a literal count.
 func TestNegativeWorkersClamped(t *testing.T) {
 	for _, w := range []int{-1, -8} {
-		out, err := runner.Run(8, runner.Options{Workers: w}, func(i int, _ *core.Simulator) (int, error) {
+		out, _, err := runner.RunCtx(context.Background(), 8, runner.Options{Workers: w}, func(_ context.Context, i int, _ *core.Simulator) (int, error) {
 			return i + 1, nil
 		})
 		if err != nil {
@@ -138,7 +138,7 @@ func TestPanicQuarantinesSimulator(t *testing.T) {
 			t.Fatalf("task %d after the panic: out = %d", i, v)
 		}
 	}
-	want := runner.RunStats{Tasks: n, Completed: n - 1, Failed: 1, RecoveredPanics: 1, DiscardedSims: 1}
+	want := runner.RunStats{Tasks: n, Completed: n - 1, Failed: 1, RecoveredPanics: 1}
 	if stats != want {
 		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}

@@ -16,8 +16,8 @@
 //
 // # Fault model
 //
-// A campaign is not all-or-nothing. The context-aware entry points
-// (RunCtx, StreamCtx) degrade gracefully under four classes of fault:
+// A campaign is not all-or-nothing. The entry points, RunCtx and StreamCtx,
+// degrade gracefully under four classes of fault:
 //
 //   - Cancellation: when the context is cancelled, workers finish their
 //     in-flight task, stop claiming new indexes and drain; StreamCtx/RunCtx
@@ -41,8 +41,8 @@
 //     worker's pooled simulator is quarantined — a panic may have been
 //     thrown mid-mutation, leaving state no Reset contract covers, so the
 //     poisoned simulator is discarded and NEVER reused; the worker
-//     continues on a fresh one (RunStats.RecoveredPanics,
-//     RunStats.DiscardedSims). All other tasks still run.
+//     continues on a fresh one (RunStats.RecoveredPanics counts each such
+//     panic). All other tasks still run.
 //
 // The recovery paths are provably exercised: internal/faultinject installs
 // seeded fault plans through Options.Hook and the harness fault oracle
@@ -187,26 +187,24 @@ type RunStats struct {
 	// worker (a draining lease manager).
 	Skipped int64
 	// RecoveredPanics counts task attempts that panicked and were
-	// recovered into a *TaskError.
+	// recovered into a *TaskError. Each one also quarantined the worker's
+	// simulator, which was replaced with a fresh one.
 	RecoveredPanics int64
 	// Retries counts re-attempts of transiently failed tasks.
 	Retries int64
 	// Timeouts counts task failures attributed to the per-task deadline.
 	Timeouts int64
-	// DiscardedSims counts pooled simulators quarantined after a panic and
-	// replaced with fresh ones (never returned to any pool).
-	DiscardedSims int64
 }
 
 // Degraded reports whether the campaign hit any fault-handling path.
 func (s RunStats) Degraded() bool {
 	return s.Failed != 0 || s.Skipped != 0 || s.RecoveredPanics != 0 ||
-		s.Retries != 0 || s.Timeouts != 0 || s.DiscardedSims != 0
+		s.Retries != 0 || s.Timeouts != 0
 }
 
 // liveStats is the workers' shared, atomically updated view of RunStats.
 type liveStats struct {
-	completed, failed, recoveredPanics, retries, timeouts, discardedSims atomic.Int64
+	completed, failed, recoveredPanics, retries, timeouts atomic.Int64
 }
 
 func (ls *liveStats) snapshot(n, executed int64) RunStats {
@@ -218,7 +216,6 @@ func (ls *liveStats) snapshot(n, executed int64) RunStats {
 		RecoveredPanics: ls.recoveredPanics.Load(),
 		Retries:         ls.retries.Load(),
 		Timeouts:        ls.timeouts.Load(),
-		DiscardedSims:   ls.discardedSims.Load(),
 	}
 }
 
@@ -366,7 +363,6 @@ func (w *taskRunner[T]) attempt(ctx context.Context, i, attempt int) (v T, err e
 	defer func() {
 		if r := recover(); r != nil {
 			w.stats.recoveredPanics.Add(1)
-			w.stats.discardedSims.Add(1)
 			if w.sim != nil {
 				w.src.Discard(w.sim)
 				w.sim = nil
@@ -503,26 +499,9 @@ func StreamCtx[T any](ctx context.Context, n int, opts Options, fn TaskFunc[T], 
 	return finish()
 }
 
-// Stream is StreamCtx without cancellation: a background context and a task
-// function that does not observe one. It preserves the pre-context
-// signature; campaigns that want deadlines, retries or cancellation use
-// StreamCtx.
-//
-//gridlint:worker
-func Stream[T any](n int, opts Options, fn func(i int, sim *core.Simulator) (T, error), emit func(i int, v T, err error)) {
-	StreamCtx(context.Background(), n, opts, dropCtx(fn), emit)
-}
-
-// dropCtx adapts a context-free task function to TaskFunc.
-func dropCtx[T any](fn func(i int, sim *core.Simulator) (T, error)) TaskFunc[T] {
-	return func(_ context.Context, i int, sim *core.Simulator) (T, error) {
-		return fn(i, sim)
-	}
-}
-
 // FirstError folds streamed task outcomes into the runner's deterministic
 // error convention: the lowest-index failure wins, independent of worker
-// count and completion order. Stream callers that aggregate results
+// count and completion order. StreamCtx callers that aggregate results
 // themselves feed every outcome through Observe and read Err at the end,
 // so the convention lives in one place. FirstError is safe for concurrent
 // use: Observe may be called from multiple goroutines (signal handlers,
@@ -586,10 +565,4 @@ func RunCtx[T any](ctx context.Context, n int, opts Options, fn TaskFunc[T]) ([]
 			stats.Completed+stats.Failed, n, cerr)
 	}
 	return out, stats, nil
-}
-
-// Run is RunCtx without cancellation, preserving the pre-context signature.
-func Run[T any](n int, opts Options, fn func(i int, sim *core.Simulator) (T, error)) ([]T, error) {
-	out, _, err := RunCtx(context.Background(), n, opts, dropCtx(fn))
-	return out, err
 }

@@ -100,7 +100,7 @@ func TestSimSourceLeaseBalance(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
-	if stats.Completed != 16 || stats.DiscardedSims != 0 {
+	if stats.Completed != 16 || stats.RecoveredPanics != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	src.mu.Lock()
@@ -137,7 +137,7 @@ func TestSimSourcePanicDiscardsToSource(t *testing.T) {
 	if out[0] != 0 || out[2] != 2 || out[3] != 3 {
 		t.Fatalf("out = %v", out)
 	}
-	if stats.Completed != 3 || stats.Failed != 1 || stats.DiscardedSims != 1 || stats.RecoveredPanics != 1 {
+	if stats.Completed != 3 || stats.Failed != 1 || stats.RecoveredPanics != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	src.mu.Lock()

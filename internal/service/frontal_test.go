@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"testing"
@@ -138,5 +140,100 @@ func TestConfigDefaults(t *testing.T) {
 	// An invalid policy fails construction.
 	if _, err := New(Config{Policy: "banana", Now: time.Now}); err == nil {
 		t.Fatal("New accepted an invalid policy")
+	}
+}
+
+// TestFrontalClampNeverRewinds is the property test for the frontal
+// virtual-time clamp: seeded random submit, cancel, estimate and list calls
+// whose requested Now often goes backwards. Every reply must report
+// max(the cluster's previous Now, the requested Now) — list requests none,
+// so it reports the previous Now — and the cluster's scheduler clock must
+// land on that same value, so it never decreases, even when a cancel is
+// refused after the clamp.
+func TestFrontalClampNeverRewinds(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
+			checkClampNeverRewinds(t, seed, 150)
+		})
+	}
+}
+
+func checkClampNeverRewinds(t *testing.T, seed uint64, ops int) {
+	s, c := newTestService(t, nil)
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(seed, 0x636c616d70))
+	names := make([]string, len(s.clusters))
+	prev := make(map[string]int64, len(names))
+	for i, cl := range s.clusters {
+		names[i] = cl.srv.Name()
+	}
+	schedNow := func(name string) int64 {
+		cl := s.byName[name]
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return cl.srv.Scheduler().Now()
+	}
+	submitted := make(map[string][]int)
+	nextID := 1
+	var backwards, rejected int
+	for op := 0; op < ops; op++ {
+		name := names[rng.IntN(len(names))]
+		before := prev[name]
+		req := before + rng.Int64N(900)
+		if rng.IntN(5) < 2 {
+			req = before - rng.Int64N(900)
+			backwards++
+		}
+		want := max(before, req)
+		var got int64
+		var err error
+		kind := rng.IntN(4)
+		switch kind {
+		case 0:
+			job := JobPayload{ID: nextID, Submit: want, Runtime: 1 + rng.Int64N(1800), Procs: 1 + rng.IntN(96)}
+			job.Walltime = job.Runtime + rng.Int64N(1800)
+			nextID++
+			var r SubmitResponse
+			if r, err = c.Submit(ctx, SubmitRequest{Cluster: name, Now: req, Job: job}); err == nil {
+				submitted[name] = append(submitted[name], job.ID)
+			}
+			got = r.Now
+		case 1:
+			id := nextID // unknown job: rejected after the clamp
+			if ids := submitted[name]; len(ids) > 0 && rng.IntN(4) > 0 {
+				id = ids[rng.IntN(len(ids))]
+			}
+			var r CancelResponse
+			r, err = c.Cancel(ctx, CancelRequest{Cluster: name, Now: req, JobID: id})
+			got = r.Now
+		case 2:
+			var r EstimateResponse
+			r, err = c.Estimate(ctx, EstimateRequest{Cluster: name, Now: req,
+				Job: JobPayload{ID: -1, Runtime: 60, Walltime: 120, Procs: 1 + rng.IntN(64)}})
+			got = r.Now
+		default:
+			var r ListResponse
+			r, err = c.List(ctx, name)
+			got, want = r.Now, before
+		}
+		after := schedNow(name)
+		if after != want {
+			t.Fatalf("op %d (kind %d) on %s: scheduler Now = %d, want max(%d, %d) = %d", op, kind, name, after, before, req, want)
+		}
+		if err != nil {
+			// Only a cancel may be refused (unknown or already started
+			// job), and only after the clamp moved the clock.
+			var apiErr *APIError
+			if kind != 1 || !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+				t.Fatalf("op %d (kind %d) on %s at Now %d: %v", op, kind, name, req, err)
+			}
+			rejected++
+		} else if got != want {
+			t.Fatalf("op %d (kind %d) on %s: reply Now = %d, want max(%d, %d) = %d", op, kind, name, got, before, req, want)
+		}
+		prev[name] = after
+	}
+	if backwards == 0 || rejected == 0 {
+		t.Fatalf("draw exercised %d backward requests and %d rejections; want both", backwards, rejected)
 	}
 }

@@ -82,7 +82,7 @@ func TestQuarantineDigest72Grid(t *testing.T) {
 
 	want := runner.RunStats{
 		Tasks: int64(len(cfgs)), Completed: int64(len(cfgs) - 3), Failed: 3,
-		RecoveredPanics: 3, DiscardedSims: 3,
+		RecoveredPanics: 3,
 	}
 	if stats != want {
 		t.Fatalf("stats = %+v, want %+v", stats, want)
