@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 // (full disk, closed pipe) surfaces as an error so main exits non-zero
 // instead of reporting a campaign nobody saw. Progress keeps going to
 // stderr.
-func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
+func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	w := cli.NewErrWriter(stdout)
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
@@ -67,6 +68,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		quiet     = fs.Bool("quiet", false, "suppress progress output")
 		period    = fs.Int64("period", 0, "override the reallocation period in seconds (0 = paper default 3600)")
 		minGain   = fs.Int64("min-gain", 0, "override the Algorithm 1 improvement threshold in seconds (0 = paper default 60)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 
 		outageCluster   = fs.String("outage-cluster", "", "cluster hit by the campaign's capacity window (default: each platform's first cluster)")
 		outageStart     = fs.Int64("outage-start", 0, "start of the capacity window in trace seconds")
@@ -78,6 +80,11 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := cli.StartCPUProfile(*cpuProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 
 	cfg := experiment.CampaignConfig{
 		Fraction:      *fraction,

@@ -57,3 +57,14 @@ func TestRunInvalidTable(t *testing.T) {
 		t.Fatal("invalid table number accepted")
 	}
 }
+
+func TestRunWritesCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	err := run([]string{"-fraction", "0.002", "-scenarios", "jan", "-table", "2", "-quiet", "-cpuprofile", path}, io.Discard)
+	if err != nil {
+		t.Fatalf("experiments -cpuprofile failed: %v", err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+		t.Fatalf("no CPU profile written (%v)", err)
+	}
+}

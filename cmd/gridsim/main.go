@@ -8,6 +8,9 @@
 // reusing one simulator across its runs), streams per-scenario progress to
 // stderr as runs finish, and prints the summaries in list order.
 //
+// -cpuprofile FILE writes a CPU profile of the whole invocation, for go tool
+// pprof (cmd/experiments takes the same flag).
+//
 // Examples:
 //
 //	gridsim -scenario apr -fraction 0.05 -platform heterogeneous -batch CBF \
@@ -62,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 // disk, closed pipe) surfaces as an error so main exits non-zero instead of
 // reporting success over truncated output. Cancelling ctx interrupts a
 // multi-scenario campaign after the in-flight scenarios finish.
-func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
+func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	out := cli.NewErrWriter(stdout)
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
 	var (
@@ -80,6 +83,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		minGain   = fs.Int64("min-gain", 60, "minimum completion-time improvement (s) for Algorithm 1")
 		compare   = fs.Bool("compare", false, "also run the no-reallocation baseline and print the paper's metrics")
 		jobsOut   = fs.Bool("jobs", false, "print the per-job records")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 
 		outageCluster   = fs.String("outage-cluster", "", "cluster hit by the capacity window (default: the platform's first cluster)")
 		outageStart     = fs.Int64("outage-start", 0, "start of the capacity window in trace seconds")
@@ -91,6 +95,11 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := cli.StartCPUProfile(*cpuProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 
 	scenarios := splitScenarios(*scenario)
 	if len(scenarios) == 1 {

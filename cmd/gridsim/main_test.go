@@ -154,3 +154,17 @@ func TestRunReportsWriteFailure(t *testing.T) {
 		t.Fatalf("error does not surface the write failure: %v", err)
 	}
 }
+
+func TestRunWritesCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	err := run([]string{"-scenario", "jan", "-fraction", "0.003", "-cpuprofile", path}, io.Discard)
+	if err != nil {
+		t.Fatalf("gridsim -cpuprofile failed: %v", err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+		t.Fatalf("no CPU profile written (%v)", err)
+	}
+	if err := run([]string{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.prof")}, io.Discard); err == nil {
+		t.Fatal("an unwritable profile path was accepted")
+	}
+}

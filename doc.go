@@ -46,7 +46,11 @@
 // availability profile is maintained as jobs start/finish instead of being
 // rebuilt per query, and queue re-planning is deferred until the next
 // observation so bursts of mutations (Algorithm 2 cancels every waiting job
-// back-to-back) pay for one re-plan. Profiles deep enough to matter carry
+// back-to-back) pay for one re-plan. The plan is a prefix of the queue,
+// extended on demand: the FCFS event loop plans only the queue head, since
+// FCFS starts jobs in queue order, observers plan the whole queue, and a
+// job appended to the queue is planned on top of the published prefix
+// rather than re-planning it. Profiles deep enough to matter carry
 // bucketed free-core summaries (per-bucket max/min over fixed segment
 // buckets, maintained exactly by every mutation): slot searches hop whole
 // buckets that cannot fit a request and swallow whole buckets that satisfy
@@ -70,7 +74,11 @@
 // under Algorithm 1 each queued job alone, so a pick compares one head per
 // group. After a placement or move only the touched clusters' columns are
 // re-queried, once per shape that still has candidates, and only the groups
-// that read a moved answer are rescored. A from-scratch reference
+// that read a moved answer are rescored. When a cluster's only change is
+// one appended job (every Algorithm 2 placement), the sweep keeps without
+// a query each answer the new reservation cannot have moved: its slot
+// starts at or after the new lower bound and either misses the reservation
+// or still has room beside it (batch.Appended). A from-scratch reference
 // implementation remains available behind the explicit invalidation hooks;
 // GRIDREALLOC_DEBUG_PROFILE=1 cross-checks the incremental state against it
 // on every re-plan. BENCH_batch.json is the committed baseline of the hot

@@ -213,9 +213,9 @@ func TestEstimatesSeeCapacityWindows(t *testing.T) {
 }
 
 func TestAppendFastPathAcrossCapacitySteps(t *testing.T) {
-	// Submissions at an unchanged clock ride the append fast path; the
-	// published plan must still match a full re-plan when the profile
-	// carries capacity steps.
+	// Submissions at an unchanged clock extend the published plan instead
+	// of re-planning it; the plan must still match a full re-plan when the
+	// profile carries capacity steps.
 	s := capacityScheduler(t, 8, CBF,
 		platform.CapacityEvent{Start: 60, End: 120, Cores: 2, Kind: platform.Maintenance},
 		platform.CapacityEvent{Start: 200, End: 260, Cores: 4, Kind: platform.Outage})
@@ -229,7 +229,7 @@ func TestAppendFastPathAcrossCapacitySteps(t *testing.T) {
 	}
 	stats := s.ProfileStats()
 	if stats.PlanAppends == 0 {
-		t.Fatal("no submission used the append fast path")
+		t.Fatal("no submission extended the published plan")
 	}
 	collect(t, s, 500)
 	if err := s.CheckInvariants(); err != nil {
@@ -267,21 +267,7 @@ func TestPropertyCapacityProfileMatchesScratch(t *testing.T) {
 		for _, outagePolicy := range []OutagePolicy{KillDisplaced, RequeueDisplaced} {
 			for seed := int64(0); seed < 12; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				cores := 8 + rng.Intn(24)
-				var events []platform.CapacityEvent
-				at := int64(rng.Intn(200))
-				for len(events) < 1+rng.Intn(3) {
-					length := int64(50 + rng.Intn(300))
-					kind := platform.Maintenance
-					if rng.Intn(2) == 0 {
-						kind = platform.Outage
-					}
-					events = append(events, platform.CapacityEvent{
-						Start: at, End: at + length, Cores: rng.Intn(cores), Kind: kind,
-					})
-					at += length + int64(1+rng.Intn(200))
-				}
-				s := capacityScheduler(t, cores, policy, events...)
+				s, cores, at := windowedScheduler(t, rng, policy)
 				s.SetOutagePolicy(outagePolicy)
 				now := int64(0)
 				for id := 1; id <= 60; id++ {

@@ -197,6 +197,10 @@ func TestEstimateSnapshotCycleAllocationFree(t *testing.T) {
 		}
 		collect(t, s, 10)
 		probe := job(1000, 10, 200, 400, 3)
+		// Each query also asks whether the plan changed by one append since
+		// the previous one, as the reallocation sweep does.
+		var prev EstimateSnapshot
+		appended := 0
 		query := func() {
 			sn, err := s.EstimateSnapshot(10)
 			if err != nil {
@@ -205,6 +209,11 @@ func TestEstimateSnapshotCycleAllocationFree(t *testing.T) {
 			if _, ok := sn.TryEstimateCompletion(probe); !ok {
 				t.Fatal("fresh snapshot refused a query")
 			}
+			if app, ok := sn.AppendedSince(prev); ok {
+				appended++
+				_ = app.Keeps(probe.Procs, sn.ScaledWalltime(probe), 0)
+			}
+			prev = sn
 		}
 		cycle := func() {
 			query()
@@ -220,7 +229,7 @@ func TestEstimateSnapshotCycleAllocationFree(t *testing.T) {
 		for i := 0; i < 3*len(s.waiting); i++ {
 			cycle()
 		}
-		before := s.ProfileStats()
+		before, appendedBefore := s.ProfileStats(), appended
 		allocs := testing.AllocsPerRun(50, cycle)
 		after := s.ProfileStats()
 		if allocs != 0 {
@@ -232,6 +241,9 @@ func TestEstimateSnapshotCycleAllocationFree(t *testing.T) {
 		}
 		if got := after.PlanAppends - before.PlanAppends; got != 51 {
 			t.Errorf("[%v] %d appends over 51 cycles, want one per resubmit", policy, got)
+		}
+		if got := appended - appendedBefore; got != 51 {
+			t.Errorf("[%v] AppendedSince accepted %d of 51 resubmits", policy, got)
 		}
 	}
 }

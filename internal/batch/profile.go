@@ -726,6 +726,17 @@ func (p *profile) minFree() int {
 	return m
 }
 
+// minFreeOver returns the minimum number of free cores over [start, end),
+// start >= p.times[0] and end > start.
+func (p *profile) minFreeOver(start, end int64) int {
+	i := p.segmentIndex(start)
+	m := p.free[i]
+	for i++; i < len(p.times) && p.times[i] < end; i++ {
+		m = min(m, p.free[i])
+	}
+	return m
+}
+
 // maxFree returns the maximum number of free cores over the whole profile.
 func (p *profile) maxFree() int {
 	m := 0

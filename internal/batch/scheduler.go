@@ -223,7 +223,10 @@ const debugProfileEnv = "GRIDREALLOC_DEBUG_PROFILE"
 // being reconstructed from the running set, and the waiting-queue plan is
 // recomputed lazily — a burst of mutations (such as Algorithm 2 cancelling
 // every waiting job back-to-back) pays for a single re-plan at the next
-// observation instead of one per mutation.
+// observation instead of one per mutation. The plan covers a prefix of the
+// queue that grows as readers need it, so a submission costs one placement
+// at the next read, and the FCFS event loop plans no further than the
+// queue head.
 //
 //gridlint:resettable
 type Scheduler struct {
@@ -251,10 +254,11 @@ type Scheduler struct {
 	nextOutage   int
 	outagePolicy OutagePolicy //gridlint:keep-across-reset caller configuration, like SetOutagePolicy
 
-	// nextStart is the earliest planned start among waiting jobs (or the
-	// noNextStart sentinel), valid whenever the plan is clean. Every plan
-	// flush visits the whole queue anyway, so a scalar minimum replaces the
-	// start-ordered heap the scheduler used to rebuild on each flush.
+	// nextStart is the earliest planned start among the planned waiting jobs
+	// (or the noNextStart sentinel), valid whenever the plan is clean. Every
+	// extension visits the entries it plans anyway, so a scalar minimum
+	// replaces the start-ordered heap the scheduler used to rebuild on each
+	// flush.
 	nextStart  int64
 	finishHeap finishQueue
 
@@ -267,14 +271,23 @@ type Scheduler struct {
 	runProf      *profile
 	runProfValid bool
 
-	// planProf is the availability profile including running jobs and all
-	// planned waiting reservations; planDirty defers its reconstruction until
-	// the next observation. Rebuilds, appends and Reset all write into this
-	// one buffer in place, so steady-state re-planning allocates nothing.
+	// planProf is the availability profile including running jobs and the
+	// reservations of the planned queue prefix waiting[:planned]. The plan
+	// grows on demand: planDirty defers its reset until the next read, and
+	// extendPlan places entries in queue order up to what the reader needs
+	// (the head for the FCFS event loop, the whole queue for observers).
+	// planCursor is the FCFS slot-search cursor carried from one extension
+	// to the next. Resets, extensions and Reset all write into this one
+	// buffer in place, so steady-state re-planning allocates nothing.
 	// Estimate snapshots are views of it, valid until planVersion moves.
 	planProf    *profile
 	planDirty   bool
+	planned     int
+	planCursor  int
 	planVersion uint64
+	// lastAppend is the reservation of the last single-entry extension,
+	// stamped with the plan version it produced (see AppendedSince).
+	lastAppend appendStamp
 	// maxPlannedStart is the latest planned start among waiting jobs, used
 	// as the FCFS lower bound for hypothetical placements.
 	maxPlannedStart int64
@@ -391,7 +404,9 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.runProfValid = true
 	s.planProf.copyFrom(s.runProf)
 	s.planDirty = false
+	s.planned, s.planCursor = 0, 0
 	s.planVersion++
+	s.lastAppend = appendStamp{}
 	s.maxPlannedStart = 0
 	s.submissions, s.cancellations, s.ectQueries = 0, 0, 0
 	s.planRebuilds, s.planAppends, s.planReuses = 0, 0, 0
@@ -476,8 +491,9 @@ func (s *Scheduler) Counters() (submissions, cancellations, ectQueries int64) {
 type ProfileStats struct {
 	// PlanRebuilds counts full re-plans of the waiting queue.
 	PlanRebuilds int64
-	// PlanAppends counts submissions planned through the append fast path,
-	// which places only the new job instead of re-planning the whole queue.
+	// PlanAppends counts plan extensions made without a rebuild: the queue
+	// entries submitted since the last read are planned on top of the
+	// published prefix instead of re-planning the whole queue.
 	PlanAppends int64
 	// PlanReuses counts observations served without a re-plan.
 	PlanReuses int64
@@ -572,7 +588,10 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 	if s.holdsJob(j.ID) {
 		return fmt.Errorf("%w: job %d on cluster %q", ErrDuplicateJob, j.ID, s.spec.Name)
 	}
-	sameNow := now == s.now
+	if now != s.now {
+		// The published plan was made for an earlier instant.
+		s.planDirty = true
+	}
 	s.now = now
 	s.submissions++
 	e := s.newEntry()
@@ -586,14 +605,9 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 	s.seq++
 	s.waiting = append(s.waiting, e)
 	s.waitingByID[j.ID] = e
-	if sameNow && !s.planDirty {
-		// Fast path: a job appended at the end of the queue cannot move any
-		// earlier job under either policy, so only the new entry needs
-		// planning, on top of the already published plan.
-		s.appendToPlan(e)
-	} else {
-		s.planDirty = true
-	}
+	// A job appended at the end of the queue cannot move any earlier job
+	// under either policy, so it is left unplanned: the next read extends
+	// the published plan by it.
 	return nil
 }
 
@@ -606,8 +620,8 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 // so resuming the slot search at the previous start's segment scans each
 // profile segment once per full re-plan instead of once per job. CBF
 // callers pass hint 0 (backfilling may place a job in any earlier hole).
-// This is the single planning rule shared by full re-plans, the append fast
-// path and the consistency checker, so the three can never drift apart.
+// This is the single planning rule shared by plan extensions and the
+// consistency checker, so the two can never drift apart.
 func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hint int) (start, end int64, cursor int, err error) {
 	lower := s.now
 	if s.policy == FCFS && prevStart > lower {
@@ -624,28 +638,6 @@ func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hi
 	end = start + e.wall
 	cursor, err = prof.reserveAtHint(start, end, e.job.Procs, seg)
 	return start, end, cursor, err
-}
-
-// appendToPlan plans a newly appended entry against the current plan
-// profile, in place, without re-planning the rest of the queue. reserve
-// validates before mutating, so a failure leaves the profile untouched and
-// falls back to a full re-plan.
-func (s *Scheduler) appendToPlan(e *queueEntry) {
-	start, end, _, err := s.placeEntry(s.planProf, e, s.maxPlannedStart, 0)
-	if err != nil {
-		s.planDirty = true
-		return
-	}
-	e.plannedStart = start
-	e.plannedEnd = end
-	if start > s.maxPlannedStart {
-		s.maxPlannedStart = start
-	}
-	if start < s.nextStart {
-		s.nextStart = start
-	}
-	s.planVersion++
-	s.planAppends++
 }
 
 // Cancel removes a waiting job from the queue. It returns ErrJobRunning for
@@ -809,8 +801,53 @@ func (sn EstimateSnapshot) Time() int64 { return sn.now }
 func (sn EstimateSnapshot) Stale() bool { return sn.sched.planChangedSince(sn.version) }
 
 // planChangedSince reports whether the plan moved since version was read.
+// Queue entries not planned yet count as a move: the next read plans them.
 func (s *Scheduler) planChangedSince(version uint64) bool {
-	return s.planDirty || s.planVersion != version
+	return s.planDirty || s.planned < len(s.waiting) || s.planVersion != version
+}
+
+// appendStamp records the reservation [start, end) a single-entry plan
+// extension added and the plan version that extension produced.
+type appendStamp struct {
+	start, end int64
+	version    uint64
+}
+
+// Appended describes a plan that changed by exactly one appended
+// reservation since an earlier snapshot. An append only removes capacity,
+// so an earlier answer whose slot the new reservation leaves intact is
+// still the earliest slot (see Keeps).
+type Appended struct {
+	lower      int64 // the new snapshot's lower bound
+	start, end int64 // the appended reservation
+	minFree    int   // the fewest free cores over [start, end) after it
+}
+
+// AppendedSince reports whether the one plan change between prev and sn is
+// the extension that planned a single appended job, and if so describes it.
+// It refuses (ok false) whenever anything else may have moved: a reset of
+// the plan (cancel, early finish, outage, invalidation, Reset), an
+// extension by several jobs, a stale sn, a snapshot of another scheduler
+// or an earlier lower bound.
+func (sn EstimateSnapshot) AppendedSince(prev EstimateSnapshot) (Appended, bool) {
+	s := sn.sched
+	a := s.lastAppend
+	if prev.sched != s || s.planChangedSince(sn.version) || a.version != sn.version ||
+		prev.version+1 != sn.version || prev.lower > sn.lower {
+		return Appended{}, false
+	}
+	return Appended{lower: sn.lower, start: a.start, end: a.end, minFree: s.planProf.minFreeOver(a.start, a.end)}, true
+}
+
+// Keeps reports whether an answer ect for a job of procs cores and scaled
+// walltime wall, given by the earlier snapshot, is still exact: its slot
+// starts at or after the new lower bound, and the appended reservation
+// either misses the slot or leaves procs cores free throughout. No earlier
+// slot can have opened, because the lower bound did not fall and the
+// append only removed capacity.
+func (a Appended) Keeps(procs int, wall, ect int64) bool {
+	t := ect - wall
+	return t >= a.lower && (ect <= a.start || t >= a.end || a.minFree >= procs)
 }
 
 // EstimateCompletion answers the completion-time query against the snapshot.
@@ -942,9 +979,14 @@ func (s *Scheduler) NextEventTime() (int64, bool) {
 func (s *Scheduler) nextInternalEvent() (int64, internalEvent, bool) {
 	// The plan is consulted only for the earliest waiting start; with an
 	// empty queue there is none, and the re-plan (refreshing the estimate
-	// profile) stays deferred to the next observation.
-	if len(s.waiting) > 0 {
-		s.ensurePlan()
+	// profile) stays deferred to the next observation. FCFS starts jobs in
+	// queue order, so its earliest start is the head's and the rest of the
+	// queue stays unplanned until something reads it.
+	if n := len(s.waiting); n > 0 {
+		if s.policy == FCFS {
+			n = 1
+		}
+		s.ensurePlan(n)
 	}
 	bestT := int64(0)
 	kind := evStart
@@ -1114,15 +1156,15 @@ func (s *Scheduler) releaseReservation(a *allocation, t int64) bool {
 	return true
 }
 
-// startDueAt starts every waiting job whose planned start is exactly t,
-// reserving its walltime window in the incremental run profile. The plan
-// profile stays valid: a started job occupies exactly the window it was
-// planned to.
+// startDueAt starts every planned waiting job whose planned start is
+// exactly t, reserving its walltime window in the incremental run profile.
+// The plan profile stays valid: a started job occupies exactly the window it
+// was planned to.
 func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
 	n0 := len(notes)
 	next := noNextStart
 	kept := s.waiting[:0]
-	for _, e := range s.waiting {
+	for _, e := range s.waiting[:s.planned] {
 		if e.plannedStart == t {
 			run := s.scaledRuntime(e.job)
 			wall := e.wall
@@ -1153,7 +1195,9 @@ func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
 		}
 		kept = append(kept, e)
 	}
-	s.waiting = kept
+	unplanned := s.waiting[s.planned:]
+	s.planned = len(kept)
+	s.waiting = append(kept, unplanned...)
 	s.nextStart = next
 	if len(notes) > n0 {
 		s.now = t
@@ -1177,23 +1221,29 @@ func (s *Scheduler) InvalidatePlan() {
 	s.planDirty = true
 }
 
-// ensurePlan re-plans the waiting queue if any mutation happened since the
-// last observation, reporting whether a rebuild ran.
-func (s *Scheduler) ensurePlan() bool {
-	if !s.planDirty {
-		return false
+// ensurePlan brings the plan to cover at least the first n waiting
+// entries: it resets the plan if a mutation invalidated it since the last
+// read, then extends the planned prefix. It reports whether a reset ran.
+func (s *Scheduler) ensurePlan(n int) bool {
+	if s.planDirty {
+		s.resetPlan()
+		s.extendPlan(n)
+		return true
 	}
-	s.rebuildPlan()
-	s.planDirty = false
-	return true
+	if s.planned < n {
+		s.extendPlan(n)
+		s.planAppends++
+	}
+	return false
 }
 
-// observePlan is ensurePlan for the external observation entry points
-// (estimates, snapshots, queue listings): it additionally counts plan
-// reuses, so PlanReuses measures how much middleware-facing load the cached
-// plan absorbed rather than the driver's internal event polling.
+// observePlan is ensurePlan over the whole queue for the external
+// observation entry points (estimates, snapshots, queue listings): it
+// additionally counts plan reuses, so PlanReuses measures how much
+// middleware-facing load the cached plan absorbed rather than the driver's
+// internal event polling.
 func (s *Scheduler) observePlan() {
-	if !s.ensurePlan() {
+	if !s.ensurePlan(len(s.waiting)) {
 		s.planReuses++
 	}
 }
@@ -1233,12 +1283,12 @@ func (s *Scheduler) ensureRunProfile() {
 
 // CheckProfileConsistency verifies that the incremental run profile matches
 // the from-scratch build over the live horizon, and that the published plan
-// (which may have been extended through the append fast path) is identical
-// to what a full re-plan would produce. It is exported for the
-// property-based tests; the run-profile comparison also runs on every plan
-// rebuild when debug cross-checking is enabled.
+// (grown by extensions since its last reset) is identical to what a full
+// re-plan would produce. It is exported for the property-based tests; the
+// run-profile comparison also runs on every plan reset when debug
+// cross-checking is enabled.
 func (s *Scheduler) CheckProfileConsistency() error {
-	s.ensurePlan()
+	s.ensurePlan(len(s.waiting))
 	if !s.runProfValid {
 		return nil
 	}
@@ -1268,8 +1318,8 @@ func (s *Scheduler) CheckProfileConsistency() error {
 			prevStart = start
 		}
 	}
-	// maxPlannedStart may be stale (it is only refreshed on rebuilds, as
-	// starts and idle time advances do not change any remaining plan); what
+	// maxPlannedStart may be stale (only plan resets and extensions move it,
+	// as starts and idle time advances do not change any remaining plan); what
 	// estimates observe is the effective FCFS lower bound max(now, max).
 	published := s.maxPlannedStart
 	if s.now > published {
@@ -1281,12 +1331,11 @@ func (s *Scheduler) CheckProfileConsistency() error {
 	return nil
 }
 
-// rebuildPlan recomputes the planned start and completion of every waiting
-// job, according to the local policy, on top of the incrementally maintained
-// running-jobs profile. The waiting slice is kept in submission (seq) order
-// by construction, so planning needs no sort. The plan is built in place
-// over the published profile, so steady-state re-planning allocates nothing.
-func (s *Scheduler) rebuildPlan() {
+// resetPlan discards the published plan: the plan profile becomes the
+// incrementally maintained running-jobs profile with no waiting job
+// planned, and the version moves so every snapshot of the old plan goes
+// stale. extendPlan then plans the queue on top of it.
+func (s *Scheduler) resetPlan() {
 	s.planRebuilds++
 	s.ensureRunProfile()
 	if s.debugCheck {
@@ -1295,42 +1344,54 @@ func (s *Scheduler) rebuildPlan() {
 				s.spec.Name, s.now, s.runProf.times, s.runProf.free, fresh.times, fresh.free))
 		}
 	}
+	s.planProf.copyFrom(s.runProf)
+	s.planDirty = false
+	s.planned, s.planCursor = 0, 0
+	// now is the FCFS lower bound for the first entry, and for a
+	// hypothetical job while the queue is empty.
+	s.maxPlannedStart = s.now
+	s.nextStart = noNextStart
+	s.planVersion++
+}
+
+// extendPlan plans waiting[planned:n] in queue order, according to the local
+// policy, on top of the published plan. The waiting slice is kept in
+// submission (seq) order by construction, so planning needs no sort, and
+// the plan is built in place, so steady-state planning allocates nothing.
+// Planning a prefix in several extensions gives the same plan as planning
+// it at once: FCFS forbids starting before the previous queued job
+// (maxPlannedStart), which also makes its slot-search cursor monotone, and
+// the clock cannot pass an unplanned entry's start because the event loop
+// plans the head before it advances (see nextInternalEvent).
+func (s *Scheduler) extendPlan(n int) {
+	first := s.planned
+	if n <= first {
+		return
+	}
 	prof := s.planProf
-	prof.copyFrom(s.runProf)
 	// Planning k jobs inserts at most 2k breakpoints; growing once up front
 	// replaces the log-many append doublings mid-plan.
-	prof.grow(2 * len(s.waiting))
-	// Waiting jobs are planned in queue order (submission order on this
-	// cluster). FCFS additionally forbids starting before the previous
-	// queued job, which also makes the slot-search cursor monotone.
-	prevStart := s.now
-	next := noNextStart
-	cursor := 0
-	for _, e := range s.waiting {
-		start, end, cur, err := s.placeEntry(prof, e, prevStart, cursor)
+	prof.grow(2 * (n - first))
+	for _, e := range s.waiting[first:n] {
+		// planCursor stays 0 under CBF, whose searches start at the origin.
+		start, end, cur, err := s.placeEntry(prof, e, s.maxPlannedStart, s.planCursor)
 		if err != nil {
 			panic(fmt.Sprintf("batch: plan reservation failed on %s: %v", s.spec.Name, err))
 		}
 		e.plannedStart = start
 		e.plannedEnd = end
-		if start > prevStart {
-			prevStart = start
-		}
-		if start < next {
-			next = start
-		}
+		s.maxPlannedStart = max(s.maxPlannedStart, start)
+		s.nextStart = min(s.nextStart, start)
 		if s.policy == FCFS {
-			cursor = cur
+			s.planCursor = cur
 		}
 	}
-	// Keep the combined running+planned profile for cheap completion-time
-	// estimates; prevStart is the latest planned start (or now when the
-	// queue is empty), which is exactly the FCFS lower bound for a
-	// hypothetical extra job. Planning visited every waiting job, so the
-	// earliest planned start falls out of the same loop.
-	s.maxPlannedStart = prevStart
-	s.nextStart = next
+	s.planned = n
 	s.planVersion++
+	if n-first == 1 {
+		e := s.waiting[first]
+		s.lastAppend = appendStamp{start: e.plannedStart, end: e.plannedEnd, version: s.planVersion}
+	}
 }
 
 // Snapshot describes the instantaneous state of the cluster, used by the
@@ -1375,7 +1436,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 // and the job-ID indexes. It is exported for use by the property-based tests
 // and returns a descriptive error on the first violation.
 func (s *Scheduler) CheckInvariants() error {
-	s.ensurePlan()
+	s.ensurePlan(len(s.waiting))
 	if len(s.running) != len(s.runningByID) || len(s.waiting) != len(s.waitingByID) {
 		return fmt.Errorf("index out of sync: %d/%d running, %d/%d waiting",
 			len(s.running), len(s.runningByID), len(s.waiting), len(s.waitingByID))

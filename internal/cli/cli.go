@@ -5,7 +5,12 @@
 // into a non-zero exit instead of silently truncated output.
 package cli
 
-import "io"
+import (
+	"fmt"
+	"io"
+	"os"
+	"runtime/pprof"
+)
 
 // ErrWriter wraps an io.Writer and remembers the first write error. Once a
 // write fails, subsequent writes are suppressed (they would fail the same
@@ -39,3 +44,24 @@ func (ew *ErrWriter) Write(p []byte) (int, error) {
 
 // Err returns the first write error, or nil.
 func (ew *ErrWriter) Err() error { return ew.err }
+
+// StartCPUProfile writes a CPU profile of the rest of the process to path
+// (read it with go tool pprof) and returns the function that stops the
+// profile and closes the file. An empty path profiles nothing.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpu profile %s: %w", path, err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}

@@ -295,8 +295,9 @@ type shapeKey struct {
 
 // shapeColumn is one cluster's answers over the shapes of a pass.
 type shapeColumn struct {
-	ects  []int64 // per shape; NoEstimate when the shape cannot run here
-	walls []int64 // per shape: the scaled walltime on this cluster
+	snap  batch.EstimateSnapshot // the snapshot the answers were read from
+	ects  []int64                // per shape; NoEstimate when the shape cannot run here
+	walls []int64                // per shape: the scaled walltime on this cluster
 }
 
 // answer is one cluster's ECT for a shape.
@@ -449,6 +450,7 @@ func (sw *sweep) fillColumn(idx int) error {
 		return err
 	}
 	col := &sw.cols[idx]
+	col.snap = sn
 	col.ects = resized(col.ects, len(sw.jobs))
 	col.walls = resized(col.walls, len(sw.jobs))
 	for s, j := range sw.jobs {
@@ -470,19 +472,27 @@ func (sw *sweep) query(sn batch.EstimateSnapshot, idx, s int) int64 {
 
 // refreshCluster re-snapshots one cluster whose queue just changed and
 // re-queries its column for every shape that still has candidates, noting
-// the shapes whose answer moved.
+// the shapes whose answer moved. When the only change is one job appended
+// to the queue (every Algorithm 2 placement, the destination of an
+// Algorithm 1 move), the answers the appended reservation cannot have
+// moved are kept without a query.
 func (sw *sweep) refreshCluster(idx int) error {
 	sn, err := sw.a.servers[idx].EstimateSnapshot(sw.now)
 	if err != nil {
 		return fmt.Errorf("core: snapshotting %s: %w", sw.a.servers[idx].Name(), err)
 	}
 	col := &sw.cols[idx]
+	app, appended := sn.AppendedSince(col.snap)
+	col.snap = sn
 	kept := sw.shapes[:0]
 	for _, s := range sw.shapes {
 		if sw.live[s] == 0 {
 			continue
 		}
 		kept = append(kept, s)
+		if appended && app.Keeps(sw.jobs[s].Procs, col.walls[s], col.ects[s]) {
+			continue
+		}
 		if ect := sw.query(sn, idx, s); ect != col.ects[s] {
 			col.ects[s] = ect
 			sw.moved = append(sw.moved, s)

@@ -161,6 +161,12 @@ func RunCtx(ctx context.Context, cfg CampaignConfig) (*Campaign, runner.RunStats
 			}
 		}
 	}
+	// Longest traces first: the runner hands cells out in index order, so a
+	// long cell dispatched last would run alone at the end of the campaign.
+	// Results are keyed by cell, so the order changes no table.
+	sort.SliceStable(cells, func(i, j int) bool {
+		return len(traces[cells[i].scenario].Jobs) > len(traces[cells[j].scenario].Jobs)
+	})
 
 	// The cells fan out over the campaign runner: every worker owns one
 	// pooled simulator that all thirteen runs of each of its cells reuse,

@@ -119,9 +119,13 @@ type RequestLoad struct {
 	Cluster       string
 	Submissions   int64
 	Cancellations int64
-	ECTQueries    int64
+	// ECTQueries counts the slot searches the cluster ran for completion
+	// estimates. An answer the reallocation sweep keeps across an append
+	// (batch.Appended) asks the cluster nothing and is not counted.
+	ECTQueries int64
 	// SnapshotHits is the number of ECT queries answered from a per-sweep
-	// estimate snapshot rather than a direct scheduler consultation.
+	// estimate snapshot rather than a direct scheduler consultation; kept
+	// answers are not counted here either.
 	SnapshotHits int64
 	// PlanRebuilds and PlanReuses count, respectively, full re-plans of the
 	// waiting queue and observations served from the cached plan.
